@@ -249,3 +249,66 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--set", '{"boundaries": [5, 4]}', "--n", "10", "--k", "2")
         assert code == 1
         assert "error:" in err
+
+
+DYADIC_DOC = '{"boundaries": [1], "tail": {"a": 1, "k": 2, "i0": 0}}'
+
+
+class TestPinnedOutput:
+    """Exact stdout of the human and json renderings, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("classic", "--set", S1_DOC, "--n", "100", "--variant", "R2"), "9\n"),
+            (
+                ("classic", "--set", S1_DOC, "--n", "100", "--variant", "R1", "--format", "json"),
+                '{\n  "n": "100",\n  "variant": "R1",\n  "count": "19"\n}\n',
+            ),
+            (
+                ("oracle", "--set", S1_DOC, "--n", "321", "--k", "2", "--format", "json"),
+                '{\n  "n": "321",\n  "w1": 1,\n  "w2": 2,\n  "count": "44"\n}\n',
+            ),
+            (
+                ("eval", "--set", S1_DOC, "--n", "100", "--k", "2", "--check", "--format", "json"),
+                '{\n  "n": "100",\n  "w1": 1,\n  "w2": 2,\n  "count": "14",\n  "oracle": "14"\n}\n',
+            ),
+            (
+                ("verify-psi", "--set", S1_DOC, "--k", "2", "--n-lo", "100", "--n-hi", "103", "--per-n"),
+                "equal: 0/4\n"
+                "first_violation: 100\n"
+                "n=100 r_set=14 r_comp=17\n"
+                "n=101 r_set=14 r_comp=17\n"
+                "n=102 r_set=15 r_comp=18\n"
+                "n=103 r_set=15 r_comp=18\n",
+            ),
+            (
+                ("verify-psi", "--set", DYADIC_DOC, "--k", "2", "--n-lo", "11", "--n-hi", "11"),
+                "equal: 1/1\nfirst_violation: none\n",
+            ),
+            (
+                (
+                    "scan", "--set", S1_DOC, "--k", "2",
+                    "--n-lo", "600", "--n-hi", "620", "--g", "7", "--stride", "10",
+                ),
+                "n=600 r_set=92 r_comp=95 ratio=23/150 (0.153333333)\n"
+                "n=610 r_set=93 r_comp=96 ratio=93/610 (0.152459016)\n"
+                "n=620 r_set=88 r_comp=91 ratio=22/155 (0.141935483)\n"
+                "min_ratio: 22/155\n"
+                "theoretical_floor: 1/33280 (0.000030048)\n"
+                "trivial_ceiling: 1/2\n",
+            ),
+            (("intersect", "--k", "2", "--l", "3"), "empty (multiplicatively independent)\n"),
+            (("intersect", "--k", "8", "--l", "32"), "nonempty (d=2, p=3, q=5)\n"),
+            (("intersect", "--k", "2", "--l", "4"), "empty (d=2, p=1, q=2)\n"),
+            (("detect", "--boundaries", "4,5,7,11", "--k", "2"), "none\n"),
+            (
+                ("detect", "--boundaries", "4,5,7,11", "--k", "2", "--format", "json"),
+                '{\n  "tail": null\n}\n',
+            ),
+            (("select-g", "--set", S1_DOC), "T=40 g=7\n"),
+        ],
+    )
+    def test_stdout(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
