@@ -43,6 +43,7 @@ from .witness import (
     classify_case,
     containing_side,
     enumerate_witnesses,
+    floor_constant,
     guaranteed_lower_bound,
     iter_witness_pairs,
     witness_q_range,
@@ -74,6 +75,7 @@ __all__ = [
     "enumerate_witnesses",
     "iter_witness_pairs",
     "guaranteed_lower_bound",
+    "floor_constant",
     "WitnessReport",
     "WitnessValidationError",
     "verify_equality",

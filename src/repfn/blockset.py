@@ -20,9 +20,10 @@ returns them as :class:`fractions.Fraction`.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,48 @@ class BlockSet:
             vals.append(nxt)
         return vals
 
+    def membership(self, limit: int) -> Callable[[int], bool]:
+        """Exact membership predicate for the integers in [0, limit].
+
+        x is a member iff an odd number of boundaries lie at or below it,
+        with the phase flipped when leading_gap is false.  The boundaries
+        are generated once, here; each call of the predicate is one bisect.
+        """
+        edges = self.boundaries_through(limit)
+        odd_is_member = self.leading_gap
+
+        def member(x: int) -> bool:
+            return (bisect_right(edges, x) % 2 == 1) == odd_is_member
+
+        return member
+
     def contains(self, x: int) -> bool:
         """Exact membership test.  x must be a nonnegative integer."""
-        if x < 0:
+        if not isinstance(x, int) or x < 0:
             raise ValueError(f"members are nonnegative integers, got {x}")
-        parity_odd = len(self.boundaries_through(x)) % 2 == 1
-        return parity_odd == self.leading_gap
+        return self.membership(x)(x)
 
-    def __contains__(self, x: int) -> bool:
-        return x >= 0 and self.contains(x)
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, int) and x >= 0 and self.contains(x)
+
+    def block_in_set(self, j: int) -> bool:
+        """Whether the block [t_j, t_{j+1}) belongs to the set."""
+        return (j % 2 == 0) == self.leading_gap
+
+    def anchored_tail(self) -> TailRule:
+        """The tail rule, required to be anchored at index 0.
+
+        Operations that walk the boundary lattice call this first; it raises
+        ValueError for a finite set or a law anchored at i0 > 0.
+        """
+        if self.tail is None:
+            raise ValueError("operation needs a tail-ruled set")
+        if self.tail.i0 != 0:
+            raise ValueError(
+                "operation needs the scaling law anchored at index 0; "
+                "call truncate_to_tail() first"
+            )
+        return self.tail
 
     # -- derived sets --------------------------------------------------------
 
@@ -130,16 +164,12 @@ class BlockSet:
             raise ValueError("set has no tail rule to align to")
         if tail.i0 == 0:
             return self
-        j = tail.i0 if self._block_in_set(tail.i0) else tail.i0 + 1
+        j = tail.i0 if self.block_in_set(tail.i0) else tail.i0 + 1
         vals = list(self.boundaries[j:])
         if len(vals) < tail.a:
             # j = i0+1 can leave a-1 seed rows; regenerate the missing one.
             vals.append(tail.k * self.boundaries[j - 1])
         return BlockSet(tuple(vals), TailRule(tail.a, tail.k, 0), True)
-
-    def _block_in_set(self, j: int) -> bool:
-        """Whether the block [t_j, t_{j+1}) belongs to the set."""
-        return (j % 2 == 0) == self.leading_gap
 
     # -- views ----------------------------------------------------------------
 
@@ -202,24 +232,34 @@ class BlockSet:
 
     @classmethod
     def from_doc(cls, doc: dict) -> BlockSet:
-        if not isinstance(doc, dict) or "boundaries" not in doc:
+        """Inverse of to_doc().  Numbers must be JSON integers, flags JSON booleans."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("boundaries"), list):
             raise ValueError("set document must be an object with a 'boundaries' list")
+        leading_gap = doc.get("leading_gap", True)
+        if not isinstance(leading_gap, bool):
+            raise ValueError(f"leading_gap must be true or false, got {leading_gap!r}")
         tail_doc = doc.get("tail")
         tail = None
         if tail_doc is not None:
-            try:
-                tail = TailRule(
-                    a=int(tail_doc["a"]),
-                    k=int(tail_doc["k"]),
-                    i0=int(tail_doc.get("i0", 0)),
-                )
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed tail rule: {tail_doc!r}") from exc
+            if not isinstance(tail_doc, dict) or not {"a", "k"} <= tail_doc.keys():
+                raise ValueError(f"malformed tail rule: {tail_doc!r}")
+            tail = TailRule(
+                a=_doc_int(tail_doc["a"], "tail a"),
+                k=_doc_int(tail_doc["k"], "tail k"),
+                i0=_doc_int(tail_doc.get("i0", 0), "tail i0"),
+            )
         return cls(
-            boundaries=tuple(int(t) for t in doc["boundaries"]),
+            boundaries=tuple(_doc_int(t, "boundary") for t in doc["boundaries"]),
             tail=tail,
-            leading_gap=bool(doc.get("leading_gap", True)),
+            leading_gap=leading_gap,
         )
+
+
+def _doc_int(value: object, what: str) -> int:
+    # bool is a subclass of int in Python, but true/false are not JSON numbers
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def normalize(intervals: Iterable[Sequence[int]]) -> BlockSet:

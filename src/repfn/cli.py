@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .blockset import BlockSet
@@ -42,12 +44,19 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in parts]
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(args, doc: dict, **texts: str) -> int:
+    """Print one rendering of a result: doc as JSON, or the text for --format.
+
+    A format without a text prints one "key: value" line per field of doc.
+    """
     if args.format == "json":
         print(json.dumps(doc, indent=2))
+    elif args.format in texts:
+        sys.stdout.write(texts[args.format])
     else:
         for key, val in doc.items():
             print(f"{key}: {val}")
+    return 0
 
 
 def _weights(args, parser) -> tuple[int, int]:
@@ -60,10 +69,10 @@ def _weights(args, parser) -> tuple[int, int]:
     return (args.w1, args.w2)
 
 
-def _cmd_eval(args, parser) -> int:
+def _cmd_count(args, parser) -> int:
     s = _load_set(args.set)
     w = _weights(args, parser)
-    count = count_weighted(s, args.n, w)
+    count = args.counter(s, args.n, w)
     doc = {"n": str(args.n), "w1": w[0], "w2": w[1], "count": str(count)}
     if args.check:
         ref = count_weighted_oracle(s, args.n, w)
@@ -71,32 +80,13 @@ def _cmd_eval(args, parser) -> int:
         if ref != count:
             print(f"error: closed form {count} != oracle {ref}", file=sys.stderr)
             return 1
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(count)
-    return 0
-
-
-def _cmd_oracle(args, parser) -> int:
-    s = _load_set(args.set)
-    w = _weights(args, parser)
-    count = count_weighted_oracle(s, args.n, w)
-    if args.format == "json":
-        print(json.dumps({"n": str(args.n), "w1": w[0], "w2": w[1], "count": str(count)}, indent=2))
-    else:
-        print(count)
-    return 0
+    return _emit(args, doc, human=f"{count}\n")
 
 
 def _cmd_classic(args, parser) -> int:
-    s = _load_set(args.set)
-    count = count_classic(s, args.n, args.variant)
-    if args.format == "json":
-        print(json.dumps({"n": str(args.n), "variant": args.variant, "count": str(count)}, indent=2))
-    else:
-        print(count)
-    return 0
+    count = count_classic(_load_set(args.set), args.n, args.variant)
+    doc = {"n": str(args.n), "variant": args.variant, "count": str(count)}
+    return _emit(args, doc, human=f"{count}\n")
 
 
 def _cmd_detect(args, parser) -> int:
@@ -107,105 +97,78 @@ def _cmd_detect(args, parser) -> int:
     else:
         bs = list(_load_set(args.set).boundaries)
     tail = detect_tail(bs, args.k)
-    if args.format == "json":
-        doc = None if tail is None else {"a": tail.a, "k": tail.k, "i0": tail.i0}
-        print(json.dumps({"tail": doc}, indent=2))
-    else:
-        print("none" if tail is None else f"a={tail.a} k={tail.k} i0={tail.i0}")
-    return 0
+    if tail is None:
+        return _emit(args, {"tail": None}, human="none\n")
+    return _emit(args, {"tail": asdict(tail)}, human=f"a={tail.a} k={tail.k} i0={tail.i0}\n")
 
 
 def _cmd_gen(args, parser) -> int:
     seed = _parse_int_list(args.seed)
-    s = generate_from_seed(seed, args.a, args.k, args.limit)
-    print(json.dumps(s.to_doc(), indent=2))
-    return 0
+    return _emit(args, generate_from_seed(seed, args.a, args.k, args.limit).to_doc())
 
 
 def _cmd_select_g(args, parser) -> int:
     sel = select_g(_load_set(args.set))
-    if args.format == "json":
-        print(json.dumps({"T": str(sel.T), "g": sel.g}, indent=2))
-    else:
-        print(f"T={sel.T} g={sel.g}")
-    return 0
+    return _emit(args, {"T": str(sel.T), "g": sel.g}, human=f"T={sel.T} g={sel.g}\n")
 
 
 def _cmd_decompose(args, parser) -> int:
     d = decompose(_load_set(args.set), args.n, args.g)
-    _emit(
-        {"n": str(d.n), "m": str(d.m), "r": str(d.r), "s": d.s, "ell": d.ell, "g": d.g},
-        args,
+    return _emit(
+        args, {"n": str(d.n), "m": str(d.m), "r": str(d.r), "s": d.s, "ell": d.ell, "g": d.g}
     )
-    return 0
 
 
 def _cmd_witnesses(args, parser) -> int:
     report = enumerate_witnesses(_load_set(args.set), args.n, args.g)
-    _emit(report.to_doc(), args)
-    return 0
+    return _emit(args, report.to_doc())
 
 
 def _cmd_verify_psi(args, parser) -> int:
     report = verify_equality(
         _load_set(args.set), args.k, args.n_lo, args.n_hi, record_per_n=args.per_n
     )
-    if args.format == "json":
-        print(json.dumps(report.to_doc(), indent=2))
-    else:
-        span = report.n_hi - report.n_lo + 1
-        print(f"equal: {report.equal_count}/{max(span, 0)}")
-        if report.first_violation is None:
-            print("first_violation: none")
-        else:
-            print(f"first_violation: {report.first_violation}")
-        if args.per_n and report.per_n:
-            for n, ra, rc in report.per_n:
-                print(f"n={n} r_set={ra} r_comp={rc}")
-    return 0
+    first = "none" if report.first_violation is None else report.first_violation
+    lines = [
+        f"equal: {report.equal_count}/{max(report.n_hi - report.n_lo + 1, 0)}",
+        f"first_violation: {first}",
+        *(f"n={n} r_set={ra} r_comp={rc}" for n, ra, rc in report.per_n or ()),
+    ]
+    return _emit(args, report.to_doc(), human="".join(f"{line}\n" for line in lines))
 
 
 def _cmd_scan(args, parser) -> int:
     scan = scan_ratio(_load_set(args.set), args.k, args.n_lo, args.n_hi, args.g, args.stride)
-    if args.format == "csv":
-        scan_to_csv(scan, sys.stdout)
-    elif args.format == "json":
-        print(json.dumps(scan.to_doc(), indent=2))
-    else:
-        for p in scan.points:
-            print(
-                f"n={p.n} r_set={p.r_set} r_comp={p.r_comp} "
-                f"ratio={fraction_str(p.ratio)} ({fraction_decimal(p.ratio, 9)})"
-            )
-        floor_ = scan.theoretical_floor
-        print(f"min_ratio: {'n/a' if scan.min_ratio is None else fraction_str(scan.min_ratio)}")
-        print(f"theoretical_floor: {fraction_str(floor_)} ({fraction_decimal(floor_, 9)})")
-        print(f"trivial_ceiling: {fraction_str(scan.trivial_ceiling)}")
-    return 0
+    floor_ = scan.theoretical_floor
+    lines = [
+        *(
+            f"n={p.n} r_set={p.r_set} r_comp={p.r_comp} "
+            f"ratio={fraction_str(p.ratio)} ({fraction_decimal(p.ratio, 9)})"
+            for p in scan.points
+        ),
+        f"min_ratio: {'n/a' if scan.min_ratio is None else fraction_str(scan.min_ratio)}",
+        f"theoretical_floor: {fraction_str(floor_)} ({fraction_decimal(floor_, 9)})",
+        f"trivial_ceiling: {fraction_str(scan.trivial_ceiling)}",
+    ]
+    csv_text = io.StringIO()
+    scan_to_csv(scan, csv_text)
+    return _emit(
+        args,
+        scan.to_doc(),
+        human="".join(f"{line}\n" for line in lines),
+        csv=csv_text.getvalue(),
+    )
 
 
 def _cmd_intersect(args, parser) -> int:
     prof = multiplicative_profile(args.k, args.l)
-    nonempty = bool(prof.dependent and prof.p % 2 == 1 and prof.q % 2 == 1)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "nonempty": nonempty,
-                    "dependent": prof.dependent,
-                    "d": prof.d,
-                    "p": prof.p,
-                    "q": prof.q,
-                },
-                indent=2,
-            )
-        )
-    elif not prof.dependent:
-        print("empty (multiplicatively independent)")
+    doc = {"nonempty": prof.odd_odd, **asdict(prof)}
+    if not prof.dependent:
+        human = "empty (multiplicatively independent)\n"
     else:
-        word = "nonempty" if nonempty else "empty"
-        print(f"{word} (d={prof.d}, p={prof.p}, q={prof.q})")
-    return 0
+        word = "nonempty" if prof.odd_odd else "empty"
+        human = f"{word} (d={prof.d}, p={prof.p}, q={prof.q})\n"
+    return _emit(args, doc, human=human)
 
 
 def _add_format(p: argparse.ArgumentParser, *extra: str) -> None:
@@ -224,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    for name, func, help_ in (
-        ("eval", _cmd_eval, "count weighted representations (closed form)"),
-        ("oracle", _cmd_oracle, "count weighted representations (reference loop)"),
+    for name, counter, help_ in (
+        ("eval", count_weighted, "count weighted representations (closed form)"),
+        ("oracle", count_weighted_oracle, "count weighted representations (reference loop)"),
     ):
-        p = add(name, func, help_)
+        p = add(name, _cmd_count, help_)
+        p.set_defaults(counter=counter, check=False)
         p.add_argument("--set", required=True, help="set JSON: file path or inline document")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, help="shorthand for weights (1, k)")
@@ -255,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
+    p.set_defaults(format="json")
 
     p = add("select-g", _cmd_select_g, "threshold T and least odd g with k^g > T")
     p.add_argument("--set", required=True)

@@ -4,7 +4,8 @@ Nothing here proves an asymptotic statement.  verify_equality checks, for
 each n in a window, whether the weighted count of the set equals that of its
 complement, and reports the first violation.  scan_ratio tracks r/n for the
 side that contains each n's lattice cell, against the theoretical floor
-1/(k^5*t_a*(k^g+2)) and the trivial ceiling 1/k.  search_seeds enumerates
+1/(k^5*t_a*(k^g+2)), with k and t_a taken from the set's tail, and the trivial
+ceiling 1/k of the weights (1, k).  search_seeds enumerates
 small seeds at desk scale and ranks them by how long they survive; a ranking
 is an observation about a window, not a certificate.
 """
@@ -21,7 +22,7 @@ from .blockset import BlockSet
 from .render import fraction_decimal, fraction_str
 from .repcount import count_weighted
 from .structure import decompose, generate_from_seed
-from .witness import SIDE_SET, containing_side
+from .witness import SIDE_SET, containing_side, floor_constant
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,11 @@ def scan_ratio(
         points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
     window_lo = -(-(n_lo + n_hi) // 2)
     tail_ratios = [p.ratio for p in points if p.n >= window_lo]
-    t_a = k * s.boundaries[0]
     return RatioScan(
         points=tuple(points),
         window_lo=window_lo,
         min_ratio=min(tail_ratios) if tail_ratios else None,
-        theoretical_floor=Fraction(1, k**5 * t_a * (k**g + 2)),
+        theoretical_floor=Fraction(1, floor_constant(s, g)),
         trivial_ceiling=Fraction(1, k),
     )
 

@@ -15,7 +15,6 @@ even and n/2 is a member.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import gcd
 
 from .blockset import BlockSet
@@ -35,12 +34,7 @@ def _check_args(n: int, w: tuple[int, int]) -> tuple[int, int]:
 def count_weighted_oracle(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     """Reference counter: enumerate a2 = 0..n//k2 and test membership."""
     k1, k2 = _check_args(n, w)
-    edges = s.boundaries_through(n)
-    in_parity = s.leading_gap  # member <=> odd boundary count at or below it
-
-    def member(x: int) -> bool:
-        return (bisect_right(edges, x) % 2 == 1) == in_parity
-
+    member = s.membership(n)
     count = 0
     for a2 in range(n // k2 + 1):
         if not member(a2):

@@ -93,20 +93,9 @@ class GSelection:
     g: int
 
 
-def _require_anchored_tail(s: BlockSet) -> TailRule:
-    if s.tail is None:
-        raise ValueError("operation needs a tail-ruled set")
-    if s.tail.i0 != 0:
-        raise ValueError(
-            "operation needs the scaling law anchored at index 0; "
-            "call truncate_to_tail() first"
-        )
-    return s.tail
-
-
 def select_g(s: BlockSet) -> GSelection:
     """Pick the least odd g with k^g above the set's spread threshold."""
-    tail = _require_anchored_tail(s)
+    tail = s.anchored_tail()
     T = int(4 * (s.boundary(tail.a + 2) - s.boundary(0)))
     g = 1
     while tail.k**g <= T:
@@ -133,7 +122,7 @@ class Decomposition:
 
 def decompose(s: BlockSet, n: int, g: int) -> Decomposition:
     """Split n by k^g + 1 and locate the quotient on the boundary lattice."""
-    tail = _require_anchored_tail(s)
+    tail = s.anchored_tail()
     if g < 1 or g % 2 == 0:
         raise ValueError(f"exponent g must be odd and positive, got {g}")
     if n < 0:
@@ -167,6 +156,11 @@ class MultiplicativeProfile:
     d: int | None = None
     p: int | None = None
     q: int | None = None
+
+    @property
+    def odd_odd(self) -> bool:
+        """Whether log k / log l = p/q is a ratio of two odd integers."""
+        return bool(self.dependent and self.p % 2 == 1 and self.q % 2 == 1)
 
 
 def _integer_root(x: int, e: int) -> int:
@@ -204,5 +198,4 @@ def multiplicative_profile(k: int, l: int) -> MultiplicativeProfile:
 
 def intersection_nonempty(k: int, l: int) -> bool:
     """Whether log k / log l is a ratio of two odd integers."""
-    prof = multiplicative_profile(k, l)
-    return bool(prof.dependent and prof.p % 2 == 1 and prof.q % 2 == 1)
+    return multiplicative_profile(k, l).odd_odd

@@ -27,14 +27,13 @@ interval arithmetic guarantees every candidate lands inside its target block
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 from .blockset import BlockSet
 from .render import fraction_decimal, fraction_str
-from .structure import Decomposition, _require_anchored_tail, decompose, select_g
+from .structure import Decomposition, decompose, select_g
 
 CASES = ("I", "II", "III")
 
@@ -53,19 +52,18 @@ class WitnessValidationError(RuntimeError):
 
 def containing_side(s: BlockSet, scale: int, ell: int) -> str:
     """Which side of the partition owns block number ell + scale*a."""
-    tail = _require_anchored_tail(s)
+    tail = s.anchored_tail()
     if not 0 <= ell < tail.a:
         raise ValueError(f"ell must lie in [0, {tail.a}), got {ell}")
     if scale < 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     j = ell + scale * tail.a
-    return SIDE_SET if s._block_in_set(j) else SIDE_COMPLEMENT
+    return SIDE_SET if s.block_in_set(j) else SIDE_COMPLEMENT
 
 
 def classify_case(s: BlockSet, d: Decomposition) -> str:
     """Exact zone of m inside its lattice cell: "I", "II", or "III"."""
-    tail = _require_anchored_tail(s)
-    k = tail.k
+    k = s.anchored_tail().k
     lo = k**d.s * s.boundary(d.ell)
     hi = k**d.s * s.boundary(d.ell + 1)
     if not lo <= d.m < hi:
@@ -90,10 +88,9 @@ def witness_q_range(s: BlockSet, d: Decomposition, case: str) -> tuple[int, int]
       III:  k^(s-1)*(t_(ell+2) - t_(ell+1)) + k^(s-5)
                  <= q <= k^(s-1)*(t_(ell+3) - t_(ell+1)) - r
     """
-    tail = _require_anchored_tail(s)
+    k = s.anchored_tail().k
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    k = tail.k
 
     def kpow(e: int) -> Fraction:
         return Fraction(k**e) if e >= 0 else Fraction(1, k**-e)
@@ -111,16 +108,23 @@ def witness_q_range(s: BlockSet, d: Decomposition, case: str) -> tuple[int, int]
     return ceil(lo_incl), floor(hi_incl)
 
 
+def floor_constant(s: BlockSet, g: int) -> int:
+    """C = k^5 * t_a * (k^g + 2), with k and t_a = k*t_0 from the set's tail.
+
+    The witness family certifies a count of at least n/C - (k^g + 1).
+    """
+    k = s.anchored_tail().k
+    return k**5 * (k * s.boundaries[0]) * (k**g + 2)
+
+
 def guaranteed_lower_bound(s: BlockSet, n: int, g: int) -> Fraction:
     """max(0, n / (k^5 * t_a * (k^g + 2)) - (k^g + 1)), exactly."""
-    tail = _require_anchored_tail(s)
+    k = s.anchored_tail().k
     if n < 0:
         raise ValueError(f"target n must be nonnegative, got {n}")
     if g < 1 or g % 2 == 0:
         raise ValueError(f"exponent g must be odd and positive, got {g}")
-    k = tail.k
-    t_a = k * s.boundaries[0]
-    bound = Fraction(n, k**5 * t_a * (k**g + 2)) - (k**g + 1)
+    bound = Fraction(n, floor_constant(s, g)) - (k**g + 1)
     return max(Fraction(0), bound)
 
 
@@ -172,19 +176,33 @@ def iter_witness_pairs(s: BlockSet, n: int, g: int):
     containing side.  Raises WitnessValidationError if any candidate fails;
     see that class for when this is possible at all.
     """
+    yield from _validated_pairs(s, *_plan(s, n, g))
+
+
+def enumerate_witnesses(s: BlockSet, n: int, g: int) -> WitnessReport:
+    """Build, validate, and summarize the full witness family for n."""
+    tail = s.anchored_tail()
+    sel = select_g(s)
+    if tail.k**g <= sel.T:
+        warnings.warn(
+            f"k^g = {tail.k ** g} does not exceed the threshold T = {sel.T}; "
+            "the family may be invalid or empty",
+            stacklevel=2,
+        )
+    plan = _plan(s, n, g)
+    checked = sum(1 for _ in _validated_pairs(s, *plan))
+    return WitnessReport(*plan, checked, guaranteed_lower_bound(s, n, g))
+
+
+def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, int]:
+    """(decomposition, case, side, q_lo, q_hi) of the witness family for n."""
     d = decompose(s, n, g)
     case = classify_case(s, d)
     side = containing_side(s, d.s, d.ell)
-    q_lo, q_hi = _effective_q_range(s, d, case)
-    yield from _validated_pairs(s, d, case, side, q_lo, q_hi)
-
-
-def _effective_q_range(s: BlockSet, d: Decomposition, case: str) -> tuple[int, int]:
     # Below scale 5 the interval inequalities no longer pin candidates inside
     # real blocks; the family is defined to be empty there.
-    if d.s < 5:
-        return 0, -1
-    return witness_q_range(s, d, case)
+    q_lo, q_hi = witness_q_range(s, d, case) if d.s >= 5 else (0, -1)
+    return d, case, side, q_lo, q_hi
 
 
 def _validated_pairs(s, d, case, side, q_lo, q_hi):
@@ -198,45 +216,18 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
         a1, a2, step1, step2 = d.m + k * q_lo + d.r, lead - q_lo, k, -1
     side_set = s if side == SIDE_SET else s.complement()
     top = max(a1, a1 + step1 * (q_hi - q_lo), a2, a2 + step2 * (q_hi - q_lo))
-    edges = side_set.boundaries_through(top)
-    want = side_set.leading_gap
+    member = side_set.membership(top)
     for q in range(q_lo, q_hi + 1):
         if a1 + k * a2 != d.n:
             raise WitnessValidationError(
                 f"q={q}: {a1} + {k}*{a2} != {d.n} (sum identity broken)"
             )
-        for v in (a1, a2):
-            if (bisect_right(edges, v) % 2 == 1) != want:
-                raise WitnessValidationError(
-                    f"q={q}: component {v} not in the containing side "
-                    f"({side}); set structure broken or k^g below threshold"
-                )
+        if not (member(a1) and member(a2)):
+            v = a2 if member(a1) else a1
+            raise WitnessValidationError(
+                f"q={q}: component {v} not in the containing side "
+                f"({side}); set structure broken or k^g below threshold"
+            )
         yield a1, a2
         a1 += step1
         a2 += step2
-
-
-def enumerate_witnesses(s: BlockSet, n: int, g: int) -> WitnessReport:
-    """Build, validate, and summarize the full witness family for n."""
-    tail = _require_anchored_tail(s)
-    sel = select_g(s)
-    if tail.k**g <= sel.T:
-        warnings.warn(
-            f"k^g = {tail.k ** g} does not exceed the threshold T = {sel.T}; "
-            "the family may be invalid or empty",
-            stacklevel=2,
-        )
-    d = decompose(s, n, g)
-    case = classify_case(s, d)
-    side = containing_side(s, d.s, d.ell)
-    q_lo, q_hi = _effective_q_range(s, d, case)
-    checked = sum(1 for _ in _validated_pairs(s, d, case, side, q_lo, q_hi))
-    return WitnessReport(
-        decomposition=d,
-        case=case,
-        side=side,
-        q_lo=q_lo,
-        q_hi=q_hi,
-        pairs_checked=checked,
-        guaranteed=guaranteed_lower_bound(s, n, g),
-    )

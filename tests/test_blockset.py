@@ -66,6 +66,26 @@ class TestMembership:
             s1.contains(-3)
         assert -3 not in s1
 
+    def test_non_integer_contains_raises_but_in_is_false(self, s1):
+        # 4.5 lies inside the block [4, 5) but is not an integer
+        with pytest.raises(ValueError):
+            s1.contains(4.5)
+        assert 4.5 not in s1
+        assert "4" not in s1
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_membership_predicate_matches_materialize(self, s1, flip):
+        s = s1.complement() if flip else s1
+        member = s.membership(200)
+        members = members_below(s, 201)
+        assert [x for x in range(201) if member(x)] == sorted(members)
+
+    def test_block_in_set_follows_materialized_blocks(self, s1):
+        bs = s1.boundaries_through(1000)
+        in_set = [(bs[j], bs[j + 1]) for j in range(len(bs) - 1) if s1.block_in_set(j)]
+        assert in_set == s1.materialize(bs[-1])
+        assert not s1.complement().block_in_set(0)
+
     def test_matches_materialize(self, s1):
         members = members_below(s1, 200)
         for x in range(200):
@@ -264,6 +284,23 @@ class TestDocRoundTrip:
     @given(finite_blocksets())
     def test_random_round_trip(self, s):
         assert BlockSet.from_doc(s.to_doc()) == s
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"boundaries": "457"},
+            {"boundaries": None},
+            {"boundaries": [[4]]},
+            {"boundaries": [4.9, 5, 7]},
+            {"boundaries": [4, 5, 7], "leading_gap": "false"},
+            {"boundaries": [4, 5, 7], "tail": {"a": 3, "k": 2.5}},
+            {"boundaries": [1], "tail": {"a": True, "k": 2}},
+        ],
+    )
+    def test_rejects_misread_values(self, doc):
+        # each of these used to be coerced (or crash with a TypeError)
+        with pytest.raises(ValueError):
+            BlockSet.from_doc(doc)
 
 
 class TestRandomizedMembership:

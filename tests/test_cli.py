@@ -274,7 +274,10 @@ class TestPinnedOutput:
                 '{\n  "n": "100",\n  "w1": 1,\n  "w2": 2,\n  "count": "14",\n  "oracle": "14"\n}\n',
             ),
             (
-                ("verify-psi", "--set", S1_DOC, "--k", "2", "--n-lo", "100", "--n-hi", "103", "--per-n"),
+                (
+                    "verify-psi", "--set", S1_DOC, "--k", "2",
+                    "--n-lo", "100", "--n-hi", "103", "--per-n",
+                ),
                 "equal: 0/4\n"
                 "first_violation: 100\n"
                 "n=100 r_set=14 r_comp=17\n"

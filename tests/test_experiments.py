@@ -10,6 +10,7 @@ import pytest
 from repfn import (
     BlockSet,
     count_weighted,
+    guaranteed_lower_bound,
     scan_ratio,
     scan_to_csv,
     search_seeds,
@@ -135,6 +136,13 @@ class TestScanRatio:
         assert doc["trivial_ceiling"] == "1/2"
         assert doc["theoretical_floor"] == "1/33280"
         assert len(doc["points"]) == 3
+
+    def test_floor_comes_from_the_set_tail(self, s1):
+        # weights (1, 3) on a k=2 set: the floor is the set's k^5*t_a*(k^g+2)
+        scan = scan_ratio(s1, 3, 600, 620, 7, stride=10)
+        assert scan.theoretical_floor == Fraction(1, 33280)
+        assert scan.trivial_ceiling == Fraction(1, 3)
+        assert guaranteed_lower_bound(s1, 33280 * 10**6, 7) == 10**6 - 129
 
     def test_argument_validation(self, s1):
         with pytest.raises(ValueError):

@@ -245,6 +245,7 @@ class TestIntersectionCriterion:
     )
     def test_fixtures(self, k, l, expected):
         assert intersection_nonempty(k, l) is expected
+        assert multiplicative_profile(k, l).odd_odd is expected
 
     def test_symmetry(self):
         for k in range(2, 20):

@@ -171,6 +171,12 @@ class TestEnumerateFixtures:
         with pytest.raises(ValueError):
             enumerate_witnesses(BlockSet((4, 5, 7)), 10**6, 7)
 
+    def test_streaming_is_lazy(self):
+        # the stream raises at its first next(), not when it is created
+        pairs = iter_witness_pairs(BlockSet((4, 5, 7)), 10**6, 7)
+        with pytest.raises(ValueError):
+            next(pairs)
+
 
 class TestPairValidity:
     @pytest.mark.parametrize(
