@@ -217,6 +217,15 @@ class BlockSet:
         c = (i - j) // a  # negative
         return Fraction(bs[j], k**-c)
 
+    def block_index(self, x: int) -> int:
+        """The index j with t_j <= x < t_(j+1), or -1 when x < t_0.
+
+        Inverse of :meth:`boundary` on the nonnegative indices: one less
+        than the number of boundaries at or below x.  On a finite set, x at
+        or above the last boundary yields the last index.
+        """
+        return len(self.boundaries_through(x)) - 1
+
     # -- canonical JSON document ----------------------------------------------
 
     def to_doc(self) -> dict:

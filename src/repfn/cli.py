@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,7 +30,10 @@ def _load_set(source: str) -> BlockSet:
         path = Path(source)
         if not path.exists():
             raise ValueError(f"set file not found: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read set file {source}: {exc.strerror or exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -265,11 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, parser)
-    except (ValueError, WitnessValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, parser)
+        except (ValueError, WitnessValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

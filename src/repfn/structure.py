@@ -12,7 +12,6 @@ powers of a common base with an odd/odd exponent ratio (multiplicative_profile
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .blockset import BlockSet, TailRule
@@ -59,26 +58,12 @@ def generate_from_seed(seed: Sequence[int], a: int, k: int, limit: int) -> Block
     be strictly increasing with k*t_0 > t_{a-1} so the expansion stays strictly
     increasing forever.
     """
-    if a < 1 or a % 2 == 0:
-        raise ValueError(f"period a must be odd and positive, got {a}")
+    tail = TailRule(a=a, k=k, i0=0)
     if len(seed) != a:
         raise ValueError(f"seed must have exactly a={a} entries, got {len(seed)}")
-    vals = [int(t) for t in seed]
-    if any(vals[i] >= vals[i + 1] for i in range(a - 1)):
-        raise ValueError("seed must be strictly increasing")
-    if k < 2:
-        raise ValueError(f"ratio k must be at least 2, got {k}")
-    if k * vals[0] <= vals[-1]:
-        raise ValueError(
-            f"seed not expandable: k*t_0 = {k * vals[0]} must exceed "
-            f"t_(a-1) = {vals[-1]}"
-        )
-    while True:
-        nxt = k * vals[-a]
-        if nxt > limit:
-            break
-        vals.append(nxt)
-    return BlockSet(tuple(vals), TailRule(a=a, k=k, i0=0), True)
+    s = BlockSet(tuple(seed), tail, True)
+    # boundaries_through lists the stored seed first, unless part of it exceeds limit.
+    return BlockSet(s.boundaries + tuple(s.boundaries_through(limit)[a:]), tail, True)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +112,14 @@ def decompose(s: BlockSet, n: int, g: int) -> Decomposition:
         raise ValueError(f"exponent g must be odd and positive, got {g}")
     if n < 0:
         raise ValueError(f"target n must be nonnegative, got {n}")
-    k, a = tail.k, tail.a
-    m, r = divmod(n, k**g + 1)
-    t0 = s.boundaries[0]
-    if m < t0:
+    m, r = divmod(n, tail.k**g + 1)
+    j = s.block_index(m)
+    if j < 0:
         raise ValueError(
-            f"n = {n} too small: quotient m = {m} sits below t_0 = {t0}, "
+            f"n = {n} too small: quotient m = {m} sits below t_0 = {s.boundaries[0]}, "
             "off the boundary lattice"
         )
-    scale = 0
-    while k ** (scale + 1) * t0 <= m:
-        scale += 1
-    ell = 0
-    while ell + 1 < a and k**scale * s.boundaries[ell + 1] <= m:
-        ell += 1
+    scale, ell = divmod(j, tail.a)
     return Decomposition(n=n, m=m, r=r, s=scale, ell=ell, g=g)
 
 
@@ -163,37 +142,31 @@ class MultiplicativeProfile:
         return bool(self.dependent and self.p % 2 == 1 and self.q % 2 == 1)
 
 
-def _integer_root(x: int, e: int) -> int:
-    """Largest r with r**e <= x, by bisection (exact for big ints)."""
-    lo, hi = 1, 1 << (x.bit_length() // e + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**e <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _primitive_power(x: int) -> tuple[int, int]:
-    """Write x = b**e with e maximal; b is then not a perfect power."""
-    for e in range(x.bit_length(), 1, -1):
-        r = _integer_root(x, e)
-        if r**e == x:
-            return r, e
-    return x, 1
-
-
 def multiplicative_profile(k: int, l: int) -> MultiplicativeProfile:
-    """Classify k and l as powers of a maximal common base, if one exists."""
+    """Classify k and l as powers of a maximal common base, if one exists.
+
+    Euclid's algorithm on the exponents: (x, y) -> (min, max/min) keeps the
+    group that x and y generate, and stops at x == y == d unless some max is
+    not a multiple of its min, in which case k and l are independent.
+    """
     if k < 2 or l < 2:
         raise ValueError(f"ratios must be at least 2, got k={k}, l={l}")
-    b1, e1 = _primitive_power(k)
-    b2, e2 = _primitive_power(l)
-    if b1 != b2:
-        return MultiplicativeProfile(dependent=False)
-    h = gcd(e1, e2)
-    return MultiplicativeProfile(dependent=True, d=b1**h, p=e1 // h, q=e2 // h)
+    x, y = k, l
+    while x != y:
+        x, y = min(x, y), max(x, y)
+        if y % x:
+            return MultiplicativeProfile(dependent=False)
+        y //= x
+    return MultiplicativeProfile(dependent=True, d=x, p=_log(k, x), q=_log(l, x))
+
+
+def _log(x: int, d: int) -> int:
+    """The exponent e with d**e == x, for x a power of d >= 2."""
+    e = 0
+    while x > 1:
+        x //= d
+        e += 1
+    return e
 
 
 def intersection_nonempty(k: int, l: int) -> bool:

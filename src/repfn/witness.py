@@ -63,12 +63,12 @@ def containing_side(s: BlockSet, scale: int, ell: int) -> str:
 
 def classify_case(s: BlockSet, d: Decomposition) -> str:
     """Exact zone of m inside its lattice cell: "I", "II", or "III"."""
-    k = s.anchored_tail().k
-    lo = k**d.s * s.boundary(d.ell)
-    hi = k**d.s * s.boundary(d.ell + 1)
+    tail = s.anchored_tail()
+    j = d.ell + d.s * tail.a
+    lo, hi = s.boundary(j), s.boundary(j + 1)
     if not lo <= d.m < hi:
         raise ValueError(f"decomposition does not match set: m={d.m} not in [{lo},{hi})")
-    margin = Fraction(k**d.s, k**4)
+    margin = Fraction(tail.k**d.s, tail.k**4)
     if d.m < lo + margin:
         return "II"
     if d.m >= hi - margin:
@@ -87,25 +87,23 @@ def witness_q_range(s: BlockSet, d: Decomposition, case: str) -> tuple[int, int]
                  <= k^(s-1)*(t_ell - t_(ell-2))
       III:  k^(s-1)*(t_(ell+2) - t_(ell+1)) + k^(s-5)
                  <= q <= k^(s-1)*(t_(ell+3) - t_(ell+1)) - r
+
+    On the two-sided lattice k^(s-1)*t_i is the boundary t_(i+(s-1)a).
     """
-    k = s.anchored_tail().k
+    tail = s.anchored_tail()
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    margin = Fraction(tail.k**d.s, tail.k**5)
 
-    def kpow(e: int) -> Fraction:
-        return Fraction(k**e) if e >= 0 else Fraction(1, k**-e)
+    def kt(i: int) -> Fraction:
+        """k^(s-1) * t_(ell+i)."""
+        return s.boundary(d.ell + i + (d.s - 1) * tail.a)
 
-    t = s.boundary
     if case == "I":
-        upper = kpow(d.s - 5) - d.r  # exclusive
-        return 0, ceil(upper) - 1
+        return 0, ceil(margin - d.r) - 1  # upper bound exclusive
     if case == "II":
-        lo_excl = kpow(d.s - 1) * (t(d.ell) - t(d.ell - 1)) + kpow(d.s - 5) + d.r
-        hi_incl = kpow(d.s - 1) * (t(d.ell) - t(d.ell - 2))
-        return floor(lo_excl) + 1, floor(hi_incl)
-    lo_incl = kpow(d.s - 1) * (t(d.ell + 2) - t(d.ell + 1)) + kpow(d.s - 5)
-    hi_incl = kpow(d.s - 1) * (t(d.ell + 3) - t(d.ell + 1)) - d.r
-    return ceil(lo_incl), floor(hi_incl)
+        return floor(kt(0) - kt(-1) + margin + d.r) + 1, floor(kt(0) - kt(-2))
+    return ceil(kt(2) - kt(1) + margin), floor(kt(3) - kt(1) - d.r)
 
 
 def floor_constant(s: BlockSet, g: int) -> int:
@@ -113,8 +111,8 @@ def floor_constant(s: BlockSet, g: int) -> int:
 
     The witness family certifies a count of at least n/C - (k^g + 1).
     """
-    k = s.anchored_tail().k
-    return k**5 * (k * s.boundaries[0]) * (k**g + 2)
+    tail = s.anchored_tail()
+    return tail.k**5 * int(s.boundary(tail.a)) * (tail.k**g + 2)
 
 
 def guaranteed_lower_bound(s: BlockSet, n: int, g: int) -> Fraction:

@@ -264,6 +264,26 @@ class TestBoundariesThrough:
         assert BlockSet((4, 5, 7)).boundaries_through(1000) == [4, 5, 7]
 
 
+class TestBlockIndex:
+    def test_running_example(self, s1):
+        assert s1.block_index(3) == -1
+        assert s1.block_index(4) == 0
+        assert s1.block_index(13) == 4  # block [10, 14)
+        assert s1.block_index(14) == 5
+
+    def test_inverse_of_boundary(self, s1, dyadic):
+        for s in (s1, dyadic):
+            for j in range(40):
+                t, t_next = int(s.boundary(j)), int(s.boundary(j + 1))
+                assert s.block_index(t) == j
+                assert s.block_index(t_next - 1) == j
+
+    def test_finite_set(self):
+        s = BlockSet((4, 5, 7))
+        assert [s.block_index(x) for x in (0, 4, 6, 7, 10**9)] == [-1, 0, 1, 2, 2]
+        assert BlockSet(()).block_index(5) == -1
+
+
 class TestDocRoundTrip:
     def test_tail_set(self, s1):
         doc = s1.to_doc()

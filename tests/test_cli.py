@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repfn.cli import main
 
@@ -250,6 +254,37 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_set_naming_a_directory_is_one(self, capsys):
+        here = str(Path(__file__).parent)
+        code, out, err = run(capsys, "eval", "--set", here, "--n", "1", "--k", "2")
+        assert (code, out, err) == (1, "", f"error: cannot read set file {here}: Is a directory\n")
+
+    def test_missing_set_file_is_one(self, capsys):
+        code, _, err = run(capsys, "eval", "--set", "no/such/set.json", "--n", "1", "--k", "2")
+        assert (code, err) == (1, "error: set file not found: no/such/set.json\n")
+
+    def test_warning_is_one_plain_line(self, capsys):
+        # g = 1 is below S1's threshold: the library warns, the CLI prints one line
+        code, out, err = run(
+            capsys, "witnesses", "--set", S1_DOC, "--n", "1000", "--g", "1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["pairs_checked"] == "1"
+        assert err == (
+            "warning: k^g = 2 does not exceed the threshold T = 40; "
+            "the family may be invalid or empty\n"
+        )
+
+    def test_warning_comes_before_the_error(self, capsys):
+        code, out, err = run(capsys, "witnesses", "--set", S1_DOC, "--n", "10", "--g", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "warning: k^g = 2 does not exceed the threshold T = 40; "
+            "the family may be invalid or empty\n"
+            "error: n = 10 too small: quotient m = 3 sits below t_0 = 4, "
+            "off the boundary lattice\n"
+        )
+
 
 DYADIC_DOC = '{"boundaries": [1], "tail": {"a": 1, "k": 2, "i0": 0}}'
 
@@ -315,3 +350,97 @@ class TestPinnedOutput:
     def test_stdout(self, capsys, argv, expected):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, expected, "")
+
+
+# -- fuzzing: any document, any small arguments, exit code 0, 1 or 2 ----------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+SMALL = st.integers(-2, 40)
+SET_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "boundaries": st.one_of(
+            st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(SMALL, max_size=6),
+            JSON_VALUES,
+        ),
+        "tail": st.one_of(
+            st.fixed_dictionaries(
+                {"a": SMALL | JSON_VALUES, "k": SMALL | JSON_VALUES},
+                optional={"i0": SMALL | JSON_VALUES},
+            ),
+            JSON_VALUES,
+        ),
+        "leading_gap": st.booleans() | JSON_VALUES,
+    },
+)
+SET_ARGS = st.one_of(
+    st.sampled_from([S1_DOC, DYADIC_DOC, '{"boundaries": [0, 3, 9]}']),
+    SET_DOCS.map(json.dumps),
+    st.sampled_from(["{", "{}", "[1]", "no/such/set.json"]),
+)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    def num(lo: int = -3, hi: int = 3000) -> str:
+        return str(draw(st.integers(lo, hi)))
+
+    def ratio() -> str:
+        return draw(st.sampled_from(["2", "3", "4", "2", "1", "0", "-2"]))
+
+    def odd() -> str:
+        return draw(st.sampled_from(["1", "3", "5", "7", "1", "0", "2", "-1"]))
+
+    cmd = draw(st.sampled_from(
+        ["eval", "oracle", "classic", "detect", "gen", "select-g", "decompose",
+         "witnesses", "verify-psi", "scan", "intersect"]
+    ))
+    set_ = ["--set", draw(SET_ARGS)]
+    n_lo = draw(st.integers(12, 60) | st.sampled_from([-1, 0, 1]))
+    window = ["--n-lo", str(n_lo), "--n-hi", str(n_lo + draw(st.integers(-2, 12)))]
+    argv = {
+        "eval": [*set_, "--n", num(), "--k", ratio()],
+        "oracle": [*set_, "--n", num(), "--w1", ratio(), "--w2", ratio()],
+        "classic": [*set_, "--n", num(), "--variant", draw(st.sampled_from(["R1", "R2", "R3"]))],
+        "detect": [*draw(st.sampled_from([set_, ["--boundaries", "4,5,7,8,10,14"]])), "--k", ratio()],
+        "gen": [
+            "--seed", draw(st.sampled_from(["4,5,7", "1", "3,4,5"]) | st.lists(SMALL, max_size=5).map(
+                lambda seed: ",".join(map(str, seed)) or "x"
+            )),
+            "--a", odd(), "--k", ratio(), "--limit", num(),
+        ],
+        "select-g": set_,
+        "decompose": [*set_, "--n", num(), "--g", odd()],
+        "witnesses": [*set_, "--n", num(), "--g", odd()],
+        "verify-psi": [*set_, "--k", ratio(), *window],
+        "scan": [*set_, "--k", ratio(), *window, "--g", odd(), "--stride", draw(st.sampled_from(["1", "3", "0", "-1"]))],
+        "intersect": ["--k", num(-2, 1000), "--l", num(-2, 1000)],
+    }[cmd]
+    if cmd == "eval" and draw(st.booleans()):
+        argv.append("--check")
+    if cmd not in ("gen", "intersect") and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["human", "json", "csv"]))]
+    if draw(st.sampled_from([False] * 9 + [True])):  # a missing argument: usage error
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return [cmd, *argv]
+
+
+@given(argvs())
+@example([
+    "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
+])
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_invocations_exit_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

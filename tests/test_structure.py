@@ -216,6 +216,31 @@ class TestMultiplicativeProfile:
         assert prof.dependent
         assert math.gcd(prof.p, prof.q) == 1
 
+    def test_huge_powers(self):
+        prof = multiplicative_profile(2**300, 2**500)
+        assert (prof.dependent, prof.d, prof.p, prof.q) == (True, 2**100, 3, 5)
+
+    def test_matches_trial_over_bases(self):
+        # exponent[x][d] = e with d**e == x, found by trial over every base d
+        top = 200
+        exponent: dict[int, dict[int, int]] = {x: {} for x in range(2, top + 1)}
+        for d in range(2, top + 1):
+            x, e = d, 1
+            while x <= top:
+                exponent[x][d] = e
+                x, e = x * d, e + 1
+        for k in range(2, top + 1):
+            for l in range(2, top + 1):
+                common = exponent[k].keys() & exponent[l].keys()
+                prof = multiplicative_profile(k, l)
+                if not common:
+                    assert not prof.dependent
+                    continue
+                d = max(common)
+                assert (prof.dependent, prof.d, prof.p, prof.q) == (
+                    True, d, exponent[k][d], exponent[l][d]
+                )
+
     def test_same_value(self):
         prof = multiplicative_profile(6, 6)
         assert prof.dependent

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -23,10 +22,9 @@ from repfn import (
 )
 
 
-def block_index(s: BlockSet, x: int, horizon: int) -> int:
+def block_index(s: BlockSet, x: int) -> int:
     """Index j with boundary(j) <= x < boundary(j+1)."""
-    edges = s.boundaries_through(max(x, horizon))
-    j = bisect_right(edges, x) - 1
+    j = s.block_index(x)
     assert j >= 0
     return j
 
@@ -206,8 +204,8 @@ class TestPairValidity:
         # Case II: a1 lands two rungs below m's block, a2 lands g-1 rungs above
         n = 129 * 7168
         pairs = list(iter_witness_pairs(s1, n, 7))
-        i1 = {block_index(s1, a1, 10**6) for a1, _ in pairs}
-        i2 = {block_index(s1, a2, 10**6) for _, a2 in pairs}
+        i1 = {block_index(s1, a1) for a1, _ in pairs}
+        i2 = {block_index(s1, a2) for _, a2 in pairs}
         assert i1 == {30}  # [2^10*4, 2^10*5)
         assert i2 == {50}  # [2^16*7, 2^17*4)
 
