@@ -35,7 +35,7 @@ def _load_set(source: str) -> BlockSet:
         except OSError as exc:
             raise ValueError(f"cannot read set file {source}: {exc.strerror or exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=lambda p: _parse_int(p, "set document"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"set document is not valid JSON: {exc}") from exc
     return BlockSet.from_doc(doc)
@@ -45,7 +45,16 @@ def _parse_int_list(text: str) -> list[int]:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty integer list")
-    return [int(p) for p in parts]
+    return [_parse_int(p, "integer list") for p in parts]
+
+
+def _parse_int(text: str, where: str) -> int:
+    """int(text), with a plain message when text is past Python's digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python < 3.10.7)
+    digits = sum(ch.isdigit() for ch in text)
+    if limit and digits > limit:
+        raise ValueError(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")
+    return int(text)
 
 
 def _emit(args, doc: dict, **texts: str) -> int:

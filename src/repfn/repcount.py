@@ -3,9 +3,9 @@
 The central quantity is the number of ordered pairs (a1, a2) of members of a
 set S with k1*a1 + k2*a2 = n.  Two independent routes are provided: a plain
 O(n) enumeration (`count_weighted_oracle`) kept as a reference, and a
-closed-form counter (`count_weighted`) that walks pairs of blocks and counts
-lattice points of the induced arithmetic progression, so its cost grows with
-the number of blocks below n rather than with n itself.
+closed-form counter (`count_weighted`) that walks the pairs of blocks that can
+meet and counts lattice points of the induced arithmetic progression, so its
+cost grows with the number of blocks below n rather than with n itself.
 
 Classic unweighted counters come in three flavors over a + a' = n:
 ordered pairs (R1), a < a' (R2), and a <= a' (R3).  They are tied together by
@@ -15,6 +15,7 @@ even and n/2 is a member.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd
 
 from .blockset import BlockSet
@@ -52,6 +53,10 @@ def count_weighted(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     integer window intersected with one residue class: a1 = (n - k2*a2)/k1
     lands in [lo1,hi1) iff (n - k1*(hi1-1))/k2 <= a2 <= (n - k1*lo1)/k2, and
     divisibility by k1 pins a2 to a single class mod k1/gcd(k1,k2).
+
+    a1 falls as a2 grows, so an a2-block reaches a1 only in one interval, and
+    the a1-blocks meeting it are found by bisection.  The a2-blocks' images
+    are disjoint, so at most len(blocks1) + len(blocks2) pairs are visited.
     """
     k1, k2 = _check_args(n, w)
     d = gcd(k1, k2)
@@ -61,10 +66,15 @@ def count_weighted(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     c = (n // d) * pow(k2 // d, -1, m) % m if m > 1 else 0
 
     blocks2 = s.materialize(n // k2 + 1)
-    blocks1 = s.materialize(n // k1 + 1)
+    blocks1 = blocks2 if k1 == k2 else s.materialize(n // k1 + 1)
+    los1 = [lo for lo, _ in blocks1]
+    his1 = [hi for _, hi in blocks1]
     total = 0
     for lo2, hi2 in blocks2:
-        for lo1, hi1 in blocks1:
+        # a2 in [lo2, hi2) sends a1 into [x_lo, x_hi]; skip a1-blocks outside it
+        x_lo = -((k2 * (hi2 - 1) - n) // k1)
+        x_hi = (n - k2 * lo2) // k1
+        for lo1, hi1 in blocks1[bisect_right(his1, x_lo) : bisect_right(los1, x_hi)]:
             lo = max(lo2, -((-(n - k1 * (hi1 - 1))) // k2))
             hi = min(hi2 - 1, (n - k1 * lo1) // k2)
             if lo > hi:

@@ -8,10 +8,11 @@ closed-form counting path.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from hypothesis import strategies as st
 
-from repfn import BlockSet, generate_from_seed
+from repfn import BlockSet, TailRule, generate_from_seed
 
 
 def random_finite_set(rng: random.Random, max_blocks: int = 12, hi: int = 4096) -> BlockSet:
@@ -52,6 +53,34 @@ def brute_count(members: set[int], n: int, w: tuple[int, int]) -> int:
     return count
 
 
+def count_weighted_blockpairs(s: BlockSet, n: int, w: tuple[int, int]) -> int:
+    """The closed form summed over every (a2-block, a1-block) pair, in O(B^2).
+
+    Same per-pair arithmetic as count_weighted, without its bisection for the
+    a1-blocks an a2-block can reach: the differential reference at n far
+    beyond the oracle's reach.
+    """
+    k1, k2 = w
+    d = gcd(k1, k2)
+    if n % d:
+        return 0
+    m = k1 // d
+    c = (n // d) * pow(k2 // d, -1, m) % m if m > 1 else 0
+
+    blocks2 = s.materialize(n // k2 + 1)
+    blocks1 = s.materialize(n // k1 + 1)
+    total = 0
+    for lo2, hi2 in blocks2:
+        for lo1, hi1 in blocks1:
+            lo = max(lo2, -((-(n - k1 * (hi1 - 1))) // k2))
+            hi = min(hi2 - 1, (n - k1 * lo1) // k2)
+            if lo > hi:
+                continue
+            # integers in [lo, hi] congruent to c mod m
+            total += (hi - c) // m - (lo - 1 - c) // m
+    return total
+
+
 def brute_classic(members: set[int], n: int, variant: str) -> int:
     small = {x for x in members if x <= n}
     if variant == "R1":
@@ -73,3 +102,14 @@ def finite_blocksets(draw, max_blocks: int = 8, hi: int = 512) -> BlockSet:
         )
     )
     return BlockSet(tuple(sorted(cuts)), None, draw(st.booleans()))
+
+
+@st.composite
+def tail_blocksets(draw) -> BlockSet:
+    """A two-sided tail set t_(i+a) = k*t_i, a in 1..7 odd, k in 2..5, either phase."""
+    a = draw(st.sampled_from((1, 3, 5, 7)))
+    k = draw(st.integers(2, 5))
+    t0 = draw(st.integers(-(-a // (k - 1)), 60))  # room for a-1 values in (t0, k*t0)
+    inner = st.integers(t0 + 1, max(t0 + 1, k * t0 - 1))  # the max only matters when a == 1
+    rest = draw(st.lists(inner, min_size=a - 1, max_size=a - 1, unique=True))
+    return BlockSet((t0, *sorted(rest)), TailRule(a, k, 0), draw(st.booleans()))

@@ -285,6 +285,20 @@ class TestExitCodes:
             "off the boundary lattice\n"
         )
 
+    # 4301 digits is one past Python's default int-string limit
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["eval", "--set", '{"boundaries": [%s]}' % ("1" * 4301), "--n", "5", "--k", "2"], "set document"),
+            (["detect", "--boundaries", "1" * 4301, "--k", "2"], "integer list"),
+            (["gen", "--seed", "4," + "1" * 4301, "--a", "3", "--k", "2", "--limit", "10"], "integer list"),
+        ],
+    )
+    def test_integer_past_the_digit_limit_is_one(self, capsys, argv, where):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {where} has a 4301-digit integer; integers are limited to 4300 digits\n"
+
 
 DYADIC_DOC = '{"boundaries": [1], "tail": {"a": 1, "k": 2, "i0": 0}}'
 

@@ -7,7 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_classic, brute_count, finite_blocksets, members_below
+from helpers import (
+    brute_classic,
+    brute_count,
+    count_weighted_blockpairs,
+    finite_blocksets,
+    members_below,
+    random_tail_set,
+    tail_blocksets,
+)
 from repfn import (
     BlockSet,
     count_classic,
@@ -64,6 +72,16 @@ class TestWeightedAgainstOracle:
     def test_weight_common_factor(self, s1):
         # gcd(2,4)=2 never divides an odd n, so the count must be zero
         assert count_weighted(s1, 101, (2, 4)) == 0
+
+    @given(
+        tail_blocksets(),
+        st.integers(0, 5000),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    )
+    @settings(max_examples=150)
+    def test_random_tail_sets(self, s, n, w):
+        # small seeds put many blocks under n, so a1 crosses many of them per a2-block
+        assert count_weighted(s, n, w) == count_weighted_oracle(s, n, w)
 
     @given(finite_blocksets(max_blocks=5, hi=128), st.integers(0, 300))
     @settings(max_examples=60)
@@ -134,3 +152,32 @@ class TestLargeInputsStayExact:
         for _ in range(5):
             n = rng.randint(10**5, 5 * 10**5)
             assert count_weighted(s1, n, (1, 2)) == count_weighted_oracle(s1, n, (1, 2))
+
+
+# k1 == k2, a common factor, k1 > k2, and coprime k1 < k2
+WEIGHT_PROFILES = [(1, 1), (5, 5), (2, 4), (4, 6), (3, 1), (5, 2), (1, 2), (2, 3)]
+
+
+def _random_tail_set_either_phase(rng: random.Random, periods, ratios) -> BlockSet:
+    s = random_tail_set(rng, periods, ratios)
+    return BlockSet(s.boundaries, s.tail, rng.random() < 0.5)
+
+
+class TestBisectedKernelAgainstBlockPairs:
+    """The bisected kernel against the O(B^2) loop over every block pair."""
+
+    def test_random_tail_sets_up_to_1e60(self):
+        rng = random.Random(20240)
+        for i in range(96):
+            s = _random_tail_set_either_phase(rng, (1, 3, 5, 7), (2, 3, 4, 5))
+            n = rng.randint(0, 10 ** rng.randint(1, 60))
+            w = WEIGHT_PROFILES[i % len(WEIGHT_PROFILES)]
+            assert count_weighted(s, n, w) == count_weighted_blockpairs(s, n, w), (s, n, w)
+
+    def test_random_tail_sets_at_1e150(self):
+        # few blocks per decade (a <= 3, k >= 3) keep the B^2 reference affordable
+        rng = random.Random(150)
+        for w in ((1, 1), (5, 5), (2, 4), (5, 2), (3, 1), (1, 2)):
+            s = _random_tail_set_either_phase(rng, (1, 3), (3, 4, 5))
+            n = rng.randint(10**149, 10**150)
+            assert count_weighted(s, n, w) == count_weighted_blockpairs(s, n, w), (s, n, w)
