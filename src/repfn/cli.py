@@ -23,6 +23,12 @@ from .repcount import CLASSIC_VARIANTS, count_classic, count_weighted, count_wei
 from .structure import decompose, detect_tail, generate_from_seed, multiplicative_profile, select_g
 from .witness import WitnessValidationError, enumerate_witnesses
 
+# Work caps for the paths whose cost grows with n or with the window, not with
+# the number of blocks: the O(n) oracle behind `eval --check`, and the
+# per-point counts of `verify-psi` and `scan`.
+CHECK_MAX_N = 10**7
+WINDOW_MAX_POINTS = 10**4
+
 
 def _load_set(source: str) -> BlockSet:
     text = source
@@ -48,13 +54,26 @@ def _parse_int_list(text: str) -> list[int]:
     return [_parse_int(p, "integer list") for p in parts]
 
 
-def _parse_int(text: str, where: str) -> int:
-    """int(text), with a plain message when text is past Python's digit limit."""
+def _parse_int(text: str, where: str, error: type[Exception] = ValueError) -> int:
+    """int(text), raising error with a plain message when text is past Python's digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python < 3.10.7)
     digits = sum(ch.isdigit() for ch in text)
     if limit and digits > limit:
-        raise ValueError(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")
+        raise error(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")
     return int(text)
+
+
+def _int_arg(text: str) -> int:
+    """The argparse type of every integer option: past the digit limit is a usage error."""
+    return _parse_int(text, "value", argparse.ArgumentTypeError)
+
+
+_int_arg.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+
+
+def _check_window(points: int) -> None:
+    if points > WINDOW_MAX_POINTS:
+        raise ValueError(f"the window is capped at {WINDOW_MAX_POINTS} points")
 
 
 def _emit(args, doc: dict, **texts: str) -> int:
@@ -82,12 +101,14 @@ def _weights(args, parser) -> tuple[int, int]:
     return (args.w1, args.w2)
 
 
-def _cmd_count(args, parser) -> int:
+def _cmd_eval(args, parser) -> int:
     s = _load_set(args.set)
     w = _weights(args, parser)
-    count = args.counter(s, args.n, w)
+    count = count_weighted(s, args.n, w)
     doc = {"n": str(args.n), "w1": w[0], "w2": w[1], "count": str(count)}
     if args.check:
+        if args.n > CHECK_MAX_N:
+            raise ValueError(f"--check is capped at n <= {CHECK_MAX_N} (the oracle is O(n))")
         ref = count_weighted_oracle(s, args.n, w)
         doc["oracle"] = str(ref)
         if ref != count:
@@ -138,9 +159,9 @@ def _cmd_witnesses(args, parser) -> int:
 
 
 def _cmd_verify_psi(args, parser) -> int:
-    report = verify_equality(
-        _load_set(args.set), args.k, args.n_lo, args.n_hi, record_per_n=args.per_n
-    )
+    s = _load_set(args.set)
+    _check_window(args.n_hi - args.n_lo + 1)
+    report = verify_equality(s, args.k, args.n_lo, args.n_hi, record_per_n=args.per_n)
     first = "none" if report.first_violation is None else report.first_violation
     lines = [
         f"equal: {report.equal_count}/{max(report.n_hi - report.n_lo + 1, 0)}",
@@ -151,7 +172,10 @@ def _cmd_verify_psi(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    scan = scan_ratio(_load_set(args.set), args.k, args.n_lo, args.n_hi, args.g, args.stride)
+    s = _load_set(args.set)
+    if args.stride >= 1:  # scan_ratio rejects any other stride
+        _check_window((args.n_hi - args.n_lo) // args.stride + 1)
+    scan = scan_ratio(s, args.k, args.n_lo, args.n_hi, args.g, args.stride)
     floor_ = scan.theoretical_floor
     lines = [
         *(
@@ -192,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repfn",
         description="Exact representation counting over self-similar block sets.",
+        epilog=f"Work caps: eval --check takes n <= {CHECK_MAX_N}; verify-psi and scan "
+        f"evaluate at most {WINDOW_MAX_POINTS} window points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -200,38 +226,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    for name, counter, help_ in (
-        ("eval", count_weighted, "count weighted representations (closed form)"),
-        ("oracle", count_weighted_oracle, "count weighted representations (reference loop)"),
-    ):
-        p = add(name, _cmd_count, help_)
-        p.set_defaults(counter=counter, check=False)
-        p.add_argument("--set", required=True, help="set JSON: file path or inline document")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, help="shorthand for weights (1, k)")
-        p.add_argument("--w1", type=int)
-        p.add_argument("--w2", type=int)
-        if name == "eval":
-            p.add_argument("--check", action="store_true", help="cross-check against the oracle")
-        _add_format(p)
+    p = add("eval", _cmd_eval, "count weighted representations (closed form)")
+    p.add_argument("--set", required=True, help="set JSON: file path or inline document")
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, help="shorthand for weights (1, k)")
+    p.add_argument("--w1", type=_int_arg)
+    p.add_argument("--w2", type=_int_arg)
+    p.add_argument(
+        "--check", action="store_true", help=f"cross-check against the oracle (n <= {CHECK_MAX_N})"
+    )
+    _add_format(p)
 
     p = add("classic", _cmd_classic, "unweighted pair counts R1/R2/R3")
     p.add_argument("--set", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--variant", choices=CLASSIC_VARIANTS, required=True)
     _add_format(p)
 
     p = add("detect", _cmd_detect, "detect a scaling law in a boundary list")
     p.add_argument("--boundaries", help="comma-separated boundary values")
     p.add_argument("--set", help="take boundaries from a set document")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     _add_format(p)
 
     p = add("gen", _cmd_gen, "expand a seed into a set document")
     p.add_argument("--seed", required=True, help="comma-separated seed t_0..t_(a-1)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--limit", type=_int_arg, required=True)
     p.set_defaults(format="json")
 
     p = add("select-g", _cmd_select_g, "threshold T and least odd g with k^g > T")
@@ -240,36 +262,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", _cmd_decompose, "locate n on the boundary lattice")
     p.add_argument("--set", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--g", type=_int_arg, required=True)
     _add_format(p)
 
     p = add("witnesses", _cmd_witnesses, "build and validate the witness family for n")
     p.add_argument("--set", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--g", type=_int_arg, required=True)
     _add_format(p)
 
     p = add("verify-psi", _cmd_verify_psi, "check set-vs-complement count equality on a window")
     p.add_argument("--set", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-lo", type=int, required=True)
-    p.add_argument("--n-hi", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--n-lo", type=_int_arg, required=True)
+    p.add_argument("--n-hi", type=_int_arg, required=True)
     p.add_argument("--per-n", action="store_true", help="include the per-n series")
     _add_format(p)
 
     p = add("scan", _cmd_scan, "ratio series r/n on the containing side")
     p.add_argument("--set", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-lo", type=int, required=True)
-    p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--n-lo", type=_int_arg, required=True)
+    p.add_argument("--n-hi", type=_int_arg, required=True)
+    p.add_argument("--g", type=_int_arg, required=True)
+    p.add_argument("--stride", type=_int_arg, default=1)
     _add_format(p, "csv")
 
     p = add("intersect", _cmd_intersect, "odd/odd multiplicative dependence of two ratios")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--l", type=_int_arg, required=True)
     _add_format(p)
 
     return parser

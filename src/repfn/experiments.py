@@ -178,14 +178,8 @@ def search_seeds(
         raise ValueError(f"width_max must be nonnegative, got {width_max}")
     results = []
     for t0 in range(1, t0_max + 1):
-        if a == 1:
-            candidates = [(t0,)]
-        else:
-            candidates = [
-                (t0, *rest)
-                for rest in combinations(range(t0 + 1, t0 + width_max + 1), a - 1)
-            ]
-        for seed in candidates:
+        for rest in combinations(range(t0 + 1, t0 + width_max + 1), a - 1):
+            seed = (t0, *rest)
             if k * seed[0] <= seed[-1]:
                 continue
             bset = generate_from_seed(seed, a, k, horizon)

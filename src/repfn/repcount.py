@@ -54,27 +54,28 @@ def count_weighted(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     lands in [lo1,hi1) iff (n - k1*(hi1-1))/k2 <= a2 <= (n - k1*lo1)/k2, and
     divisibility by k1 pins a2 to a single class mod k1/gcd(k1,k2).
 
+    The blocks are materialized once, up to n // min(k1, k2), and serve both
+    sides: a block past one side's reach gives that side an empty window.
     a1 falls as a2 grows, so an a2-block reaches a1 only in one interval, and
     the a1-blocks meeting it are found by bisection.  The a2-blocks' images
-    are disjoint, so at most len(blocks1) + len(blocks2) pairs are visited.
+    are disjoint, so at most 2 * len(blocks) pairs are visited.
     """
     k1, k2 = _check_args(n, w)
     d = gcd(k1, k2)
     if n % d:
         return 0  # k1*a1 + k2*a2 is always a multiple of gcd(k1, k2)
     m = k1 // d
-    c = (n // d) * pow(k2 // d, -1, m) % m if m > 1 else 0
+    c = (n // d) * pow(k2 // d, -1, m) % m
 
-    blocks2 = s.materialize(n // k2 + 1)
-    blocks1 = blocks2 if k1 == k2 else s.materialize(n // k1 + 1)
-    los1 = [lo for lo, _ in blocks1]
-    his1 = [hi for _, hi in blocks1]
+    blocks = s.materialize(n // min(k1, k2) + 1)
+    los1 = [lo for lo, _ in blocks]
+    his1 = [hi for _, hi in blocks]
     total = 0
-    for lo2, hi2 in blocks2:
+    for lo2, hi2 in blocks:
         # a2 in [lo2, hi2) sends a1 into [x_lo, x_hi]; skip a1-blocks outside it
         x_lo = -((k2 * (hi2 - 1) - n) // k1)
         x_hi = (n - k2 * lo2) // k1
-        for lo1, hi1 in blocks1[bisect_right(his1, x_lo) : bisect_right(los1, x_hi)]:
+        for lo1, hi1 in blocks[bisect_right(his1, x_lo) : bisect_right(los1, x_hi)]:
             lo = max(lo2, -((-(n - k1 * (hi1 - 1))) // k2))
             hi = min(hi2 - 1, (n - k1 * lo1) // k2)
             if lo > hi:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repfn import cli
 from repfn.cli import main
 
 S1_DOC = '{"boundaries": [4, 5, 7], "tail": {"a": 3, "k": 2, "i0": 0}, "leading_gap": true}'
@@ -49,9 +51,17 @@ class TestEval:
         assert int(out.strip()) >= 0
 
     def test_oracle_agrees(self, capsys):
-        _, fast, _ = run(capsys, "eval", "--set", S1_DOC, "--n", "321", "--k", "2")
-        _, slow, _ = run(capsys, "oracle", "--set", S1_DOC, "--n", "321", "--k", "2")
-        assert fast == slow
+        code, out, _ = run(
+            capsys, "eval", "--set", S1_DOC, "--n", "321", "--k", "2", "--check", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["count"], doc["oracle"]) == ("44", "44")
+
+    def test_check_mismatch_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_weighted", lambda s, n, w: 15)
+        code, out, err = run(capsys, "eval", "--set", S1_DOC, "--n", "100", "--k", "2", "--check")
+        assert (code, out, err) == (1, "", "error: closed form 15 != oracle 14\n")
 
     def test_set_from_file(self, capsys, tmp_path):
         p = tmp_path / "s.json"
@@ -249,6 +259,30 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_oracle_is_not_a_subcommand(self, capsys):
+        # the reference count is `eval --check`
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--set", S1_DOC, "--n", "321", "--k", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1" * 4301, "value has a 4301-digit integer; integers are limited to 4300 digits"),
+            ("x", "invalid int value: 'x'"),
+        ],
+        ids=["past-the-digit-limit", "not-an-integer"],
+    )
+    def test_bad_integer_option_is_two(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--set", S1_DOC, "--n", value, "--k", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: repfn eval [-h] --set SET --n N [--k K] [--w1 W1] [--w2 W2] [--check]\n"
+            "                  [--format {human,json}]\n"
+            f"repfn eval: error: argument --n: {message}\n"
+        )
+
     def test_bad_set_document_is_one(self, capsys):
         code, _, err = run(capsys, "eval", "--set", '{"boundaries": [5, 4]}', "--n", "10", "--k", "2")
         assert code == 1
@@ -300,6 +334,51 @@ class TestExitCodes:
         assert err == f"error: {where} has a 4301-digit integer; integers are limited to 4300 digits\n"
 
 
+class TestWorkCaps:
+    # one past each cap; without the caps each of these runs for seconds
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["eval", "--set", S1_DOC, "--n", "10000001", "--k", "2", "--check"],
+                "--check is capped at n <= 10000000 (the oracle is O(n))",
+            ),
+            (
+                ["verify-psi", "--set", S1_DOC, "--k", "2", "--n-lo", "1000000", "--n-hi", "1010000"],
+                "the window is capped at 10000 points",
+            ),
+            (
+                [
+                    "scan", "--set", S1_DOC, "--k", "2",
+                    "--n-lo", "1000000", "--n-hi", "1030000", "--g", "7", "--stride", "3",
+                ],
+                "the window is capped at 10000 points",
+            ),
+        ],
+        ids=["eval-check", "verify-psi", "scan"],
+    )
+    def test_one_past_the_cap_is_one(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_the_cap_itself_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CHECK_MAX_N", 100)
+        monkeypatch.setattr(cli, "WINDOW_MAX_POINTS", 3)
+        window = ["--set", S1_DOC, "--k", "2", "--n-lo", "600"]
+        scan = ["scan", *window, "--g", "7", "--stride", "10"]
+        for argv, code in (
+            (["eval", "--set", S1_DOC, "--n", "100", "--k", "2", "--check"], 0),
+            (["eval", "--set", S1_DOC, "--n", "101", "--k", "2", "--check"], 1),
+            (["verify-psi", *window, "--n-hi", "602"], 0),
+            (["verify-psi", *window, "--n-hi", "603"], 1),
+            ([*scan, "--n-hi", "629"], 0),
+            ([*scan, "--n-hi", "630"], 1),
+        ):
+            assert run(capsys, *argv)[0] == code, argv
+
+
 DYADIC_DOC = '{"boundaries": [1], "tail": {"a": 1, "k": 2, "i0": 0}}'
 
 
@@ -315,7 +394,7 @@ class TestPinnedOutput:
                 '{\n  "n": "100",\n  "variant": "R1",\n  "count": "19"\n}\n',
             ),
             (
-                ("oracle", "--set", S1_DOC, "--n", "321", "--k", "2", "--format", "json"),
+                ("eval", "--set", S1_DOC, "--n", "321", "--k", "2", "--format", "json"),
                 '{\n  "n": "321",\n  "w1": 1,\n  "w2": 2,\n  "count": "44"\n}\n',
             ),
             (
@@ -411,15 +490,17 @@ def argvs(draw) -> list[str]:
         return draw(st.sampled_from(["1", "3", "5", "7", "1", "0", "2", "-1"]))
 
     cmd = draw(st.sampled_from(
-        ["eval", "oracle", "classic", "detect", "gen", "select-g", "decompose",
+        ["eval", "classic", "detect", "gen", "select-g", "decompose",
          "witnesses", "verify-psi", "scan", "intersect"]
     ))
     set_ = ["--set", draw(SET_ARGS)]
     n_lo = draw(st.integers(12, 60) | st.sampled_from([-1, 0, 1]))
     window = ["--n-lo", str(n_lo), "--n-hi", str(n_lo + draw(st.integers(-2, 12)))]
     argv = {
-        "eval": [*set_, "--n", num(), "--k", ratio()],
-        "oracle": [*set_, "--n", num(), "--w1", ratio(), "--w2", ratio()],
+        "eval": [
+            *set_, "--n", num(),
+            *(["--k", ratio()] if draw(st.booleans()) else ["--w1", ratio(), "--w2", ratio()]),
+        ],
         "classic": [*set_, "--n", num(), "--variant", draw(st.sampled_from(["R1", "R2", "R3"]))],
         "detect": [*draw(st.sampled_from([set_, ["--boundaries", "4,5,7,8,10,14"]])), "--k", ratio()],
         "gen": [
