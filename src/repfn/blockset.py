@@ -103,18 +103,24 @@ class BlockSet:
             vals.append(nxt)
         return vals
 
+    def _edges(self, limit: int) -> list[int]:
+        """The points in [0, limit] where membership flips: the boundaries, with
+        0 put in front when leading_gap is false (cancelling a t_0 = 0)."""
+        edges = self.boundaries_through(limit)
+        if not self.leading_gap:
+            edges = edges[1:] if edges[:1] == [0] else [0, *edges]
+        return edges
+
     def membership(self, limit: int) -> Callable[[int], bool]:
         """Exact membership predicate for the integers in [0, limit].
 
-        x is a member iff an odd number of boundaries lie at or below it,
-        with the phase flipped when leading_gap is false.  The boundaries
-        are generated once, here; each call of the predicate is one bisect.
+        x is a member iff an odd number of edges lie at or below it.  The
+        edges are generated once, here; each call is one bisect.
         """
-        edges = self.boundaries_through(limit)
-        odd_is_member = self.leading_gap
+        edges = self._edges(limit)
 
         def member(x: int) -> bool:
-            return (bisect_right(edges, x) % 2 == 1) == odd_is_member
+            return bisect_right(edges, x) % 2 == 1
 
         return member
 
@@ -165,37 +171,33 @@ class BlockSet:
         if tail.i0 == 0:
             return self
         j = tail.i0 if self.block_in_set(tail.i0) else tail.i0 + 1
-        vals = list(self.boundaries[j:])
-        if len(vals) < tail.a:
-            # j = i0+1 can leave a-1 seed rows; regenerate the missing one.
-            vals.append(tail.k * self.boundaries[j - 1])
-        return BlockSet(tuple(vals), TailRule(tail.a, tail.k, 0), True)
+        end = max(len(self.boundaries), j + tail.a)  # j = i0+1 needs one generated row
+        vals = tuple(int(self.boundary(i)) for i in range(j, end))
+        return BlockSet(vals, TailRule(tail.a, tail.k, 0), True)
 
     # -- views ----------------------------------------------------------------
 
     def materialize(self, limit: int) -> list[tuple[int, int]]:
-        """The set's blocks intersected with [0, limit), as (lo, hi) pairs."""
+        """The set's blocks in [0, limit) as (lo, hi) pairs: consecutive pairs
+        of edges, with limit closing a block that runs past it."""
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
-        out: list[tuple[int, int]] = []
-        inside = not self.leading_gap
-        prev = 0
-        for t in self.boundaries_through(limit):
-            if inside and prev < t:
-                out.append((prev, t))
-            inside = not inside
-            prev = t
-        if inside and prev < limit:
-            out.append((prev, limit))
-        return out
+        edges = self._edges(limit)
+        if len(edges) % 2:
+            if edges[-1] < limit:
+                edges.append(limit)
+            else:
+                del edges[-1]  # the block opens at limit: nothing below it
+        it = iter(edges)
+        return list(zip(it, it))
 
     def boundary(self, i: int) -> Fraction:
         """t_i for any integer index i reachable from the data.
 
-        Stored indices return the stored value.  With a tail rule, indices
-        above the prefix extend by repeated multiplication; with i0 = 0 the
-        extension is two-sided and negative indices yield exact rationals
-        t_{i-a} = t_i / k whose denominators are powers of k.
+        Stored indices return the stored value.  With a tail rule any other i
+        reads t_(i0+j) * k^c, (c, j) = divmod(i - i0, a).  With i0 = 0 this
+        holds two-sided: negative indices have c < 0 and yield exact rationals
+        whose denominators are powers of k.
         """
         bs = self.boundaries
         if 0 <= i < len(bs):
@@ -203,19 +205,13 @@ class BlockSet:
         tail = self.tail
         if tail is None:
             raise ValueError(f"index {i} outside stored boundaries and no tail rule")
-        a, k, i0 = tail.a, tail.k, tail.i0
-        if i >= i0:
-            j = (i - i0) % a
-            c = (i - i0 - j) // a
-            return Fraction(bs[i0 + j] * k**c)
-        if i0 != 0:
+        if i < 0 < tail.i0:
             raise ValueError(
-                f"index {i} precedes the tail anchor i0={i0}; "
+                f"index {i} precedes the tail anchor i0={tail.i0}; "
                 "two-sided extension needs i0=0 (use truncate_to_tail())"
             )
-        j = i % a
-        c = (i - j) // a  # negative
-        return Fraction(bs[j], k**-c)
+        c, j = divmod(i - tail.i0, tail.a)
+        return Fraction(bs[tail.i0 + j] * tail.k ** max(c, 0), tail.k ** max(-c, 0))
 
     def block_index(self, x: int) -> int:
         """The index j with t_j <= x < t_(j+1), or -1 when x < t_0.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -55,12 +56,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_int(text: str, where: str, error: type[Exception] = ValueError) -> int:
-    """int(text), raising error with a plain message when text is past Python's digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python < 3.10.7)
+    """int(text); text that int() rejects for the digit limit alone raises error naming it."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        try:  # with each digit run cut to one digit, only an integer parses
+            int(re.sub(r"\d+", "0", text))
+        except ValueError:
+            raise exc from None
+    limit = sys.get_int_max_str_digits()
     digits = sum(ch.isdigit() for ch in text)
-    if limit and digits > limit:
-        raise error(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")
-    return int(text)
+    raise error(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")
 
 
 def _int_arg(text: str) -> int:
@@ -147,10 +153,7 @@ def _cmd_select_g(args, parser) -> int:
 
 
 def _cmd_decompose(args, parser) -> int:
-    d = decompose(_load_set(args.set), args.n, args.g)
-    return _emit(
-        args, {"n": str(d.n), "m": str(d.m), "r": str(d.r), "s": d.s, "ell": d.ell, "g": d.g}
-    )
+    return _emit(args, decompose(_load_set(args.set), args.n, args.g).to_doc())
 
 
 def _cmd_witnesses(args, parser) -> int:
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)  # usage errors name the subcommand
         return p
 
     p = add("eval", _cmd_eval, "count weighted representations (closed form)")
@@ -303,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args, parser)
+            return args.func(args, args.parser)
         except (ValueError, WitnessValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -124,6 +124,8 @@ def scan_ratio(
     s: BlockSet, k: int, n_lo: int, n_hi: int, g: int, stride: int = 1
 ) -> RatioScan:
     """Sample r/n on the containing side at n_lo, n_lo+stride, ..., <= n_hi."""
+    if k < 2:
+        raise ValueError(f"ratio k must be at least 2, got {k}")
     if n_lo < 1:
         raise ValueError(f"scan window must start at n >= 1, got {n_lo}")
     if stride < 1:
@@ -162,15 +164,14 @@ def search_seeds(
     t0_max: int,
     width_max: int,
     horizon: int,
-    n_start: int | None = None,
 ) -> list[tuple[tuple[int, ...], EqualityReport]]:
     """Try every admissible seed and rank by survival of the equality check.
 
     Seeds are (t_0, ..., t_(a-1)) with 1 <= t_0 <= t0_max, strictly
     increasing, t_(a-1) - t_0 <= width_max, and k*t_0 > t_(a-1).  Each seed's
-    set is expanded to the horizon and checked on [n_start, horizon], where
-    n_start defaults to that set's t_(a+2).  Ranking: clean seeds first, then
-    larger first violation; ties break deterministically by seed.
+    set is expanded to the horizon and checked on [t_(a+2), horizon].
+    Ranking: clean seeds first, then larger first violation; ties break
+    deterministically by seed.
     """
     if t0_max < 1:
         raise ValueError(f"t0_max must be at least 1, got {t0_max}")
@@ -183,7 +184,7 @@ def search_seeds(
             if k * seed[0] <= seed[-1]:
                 continue
             bset = generate_from_seed(seed, a, k, horizon)
-            lo = int(bset.boundary(a + 2)) if n_start is None else n_start
+            lo = int(bset.boundary(a + 2))
             results.append((seed, verify_equality(bset, k, lo, horizon)))
 
     def rank(item):

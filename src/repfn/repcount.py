@@ -89,8 +89,6 @@ def count_classic(s: BlockSet, n: int, variant: str) -> int:
     """Unweighted counters over a + a' = n: ordered (R1), a<a' (R2), a<=a' (R3)."""
     if variant not in CLASSIC_VARIANTS:
         raise ValueError(f"variant must be one of {CLASSIC_VARIANTS}, got {variant!r}")
-    if n < 0:
-        raise ValueError(f"target n must be nonnegative, got {n}")
     r1 = count_weighted(s, n, (1, 1))
     delta = 1 if n % 2 == 0 and s.contains(n // 2) else 0
     if variant == "R1":

@@ -104,6 +104,11 @@ class Decomposition:
     ell: int
     g: int
 
+    def to_doc(self) -> dict:
+        """Plain-JSON form, with the unbounded integers n, m and r as strings."""
+        n, m, r = str(self.n), str(self.m), str(self.r)
+        return {"n": n, "m": m, "r": r, "s": self.s, "ell": self.ell, "g": self.g}
+
 
 def decompose(s: BlockSet, n: int, g: int) -> Decomposition:
     """Split n by k^g + 1 and locate the quotient on the boundary lattice."""

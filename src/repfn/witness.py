@@ -112,6 +112,8 @@ def floor_constant(s: BlockSet, g: int) -> int:
     The witness family certifies a count of at least n/C - (k^g + 1).
     """
     tail = s.anchored_tail()
+    if g < 1 or g % 2 == 0:
+        raise ValueError(f"exponent g must be odd and positive, got {g}")
     return tail.k**5 * int(s.boundary(tail.a)) * (tail.k**g + 2)
 
 
@@ -120,8 +122,6 @@ def guaranteed_lower_bound(s: BlockSet, n: int, g: int) -> Fraction:
     k = s.anchored_tail().k
     if n < 0:
         raise ValueError(f"target n must be nonnegative, got {n}")
-    if g < 1 or g % 2 == 0:
-        raise ValueError(f"exponent g must be odd and positive, got {g}")
     bound = Fraction(n, floor_constant(s, g)) - (k**g + 1)
     return max(Fraction(0), bound)
 
@@ -148,15 +148,9 @@ class WitnessReport:
         return max(0, self.q_hi - self.q_lo + 1)
 
     def to_doc(self) -> dict:
-        d = self.decomposition
         empty = self.q_lo > self.q_hi
         return {
-            "n": str(d.n),
-            "m": str(d.m),
-            "r": str(d.r),
-            "s": d.s,
-            "ell": d.ell,
-            "g": d.g,
+            **self.decomposition.to_doc(),
             "case": self.case,
             "side": self.side,
             "q_lo": None if empty else str(self.q_lo),

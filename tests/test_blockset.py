@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import finite_blocksets, members_below
+from helpers import finite_blocksets, members_below, tail_blocksets
 from repfn import BlockSet, TailRule, normalize
 
 
@@ -230,6 +230,34 @@ class TestBoundaryExtension:
         assert s.boundary(9) == 28
         with pytest.raises(ValueError):
             s.boundary(-1)
+
+
+class TestOneEdgeList:
+    """materialize, membership and boundary agree on every set, in both phases."""
+
+    ANY_SET = st.one_of(finite_blocksets(), tail_blocksets())
+
+    @given(ANY_SET, st.integers(0, 700))
+    def test_blocks_are_the_maximal_runs_of_members(self, s, limit):
+        member = s.membership(limit)
+        runs: list[tuple[int, int]] = []
+        for x in range(limit):
+            if not member(x):
+                continue
+            if runs and runs[-1][1] == x:
+                runs[-1] = (runs[-1][0], x + 1)
+            else:
+                runs.append((x, x + 1))
+        assert s.materialize(limit) == runs
+
+    @given(ANY_SET)
+    def test_boundary_reads_the_generated_list(self, s):
+        vals = s.boundaries_through(10**6)
+        assert [s.boundary(i) for i in range(len(vals))] == vals
+
+    @given(tail_blocksets(), st.integers(-30, 30))
+    def test_one_period_is_one_factor_of_k(self, s, i):
+        assert s.tail.k * s.boundary(i - s.tail.a) == s.boundary(i)
 
 
 class TestTruncateToTail:

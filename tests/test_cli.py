@@ -70,6 +70,16 @@ class TestEval:
         assert code == 0
         assert out.strip() == "14"
 
+    def test_weight_error_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--set", S1_DOC, "--n", "5", "--w1", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: repfn eval [-h] --set SET --n N [--k K] [--w1 W1] [--w2 W2] [--check]\n"
+            "                  [--format {human,json}]\n"
+            "repfn eval: error: weights required: --k K or --w1 W1 --w2 W2\n"
+        )
+
     def test_weights_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--set", S1_DOC, "--n", "10", "--k", "2", "--w1", "1"])
@@ -130,12 +140,15 @@ class TestGenAndDetect:
         assert json.loads(out) == {"tail": {"a": 1, "k": 2, "i0": 0}}
 
     def test_detect_requires_exactly_one_source(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["detect", "--k", "2"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["detect", "--k", "2", "--boundaries", "1,2", "--set", S1_DOC])
-        assert exc.value.code == 2
+        for sources in ([], ["--boundaries", "1,2", "--set", S1_DOC]):
+            with pytest.raises(SystemExit) as exc:
+                main(["detect", "--k", "2", *sources])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == (
+                "usage: repfn detect [-h] [--boundaries BOUNDARIES] [--set SET] --k K\n"
+                "                    [--format {human,json}]\n"
+                "repfn detect: error: give exactly one of --boundaries or --set\n"
+            )
 
 
 class TestStructureCommands:
@@ -241,6 +254,21 @@ class TestVerifyAndScan:
         assert doc["theoretical_floor"] == "1/33280"
         assert len(doc["points"]) == 3
 
+    @pytest.mark.parametrize(
+        "k, g, message",
+        [
+            ("0", "7", "ratio k must be at least 2, got 0"),
+            ("1", "7", "ratio k must be at least 2, got 1"),
+            ("2", "-1", "exponent g must be odd and positive, got -1"),
+            ("2", "2", "exponent g must be odd and positive, got 2"),
+        ],
+    )
+    def test_scan_checks_k_and_g_on_an_empty_window(self, capsys, k, g, message):
+        code, out, err = run(
+            capsys, "scan", "--set", S1_DOC, "--k", k, "--n-lo", "12", "--n-hi", "11", "--g", g
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -270,8 +298,11 @@ class TestExitCodes:
         [
             ("1" * 4301, "value has a 4301-digit integer; integers are limited to 4300 digits"),
             ("x", "invalid int value: 'x'"),
+            ("x" + "1" * 4301, "invalid int value: 'x%s'" % ("1" * 4301)),
+            # int() itself reports the digit limit here, before it reaches the x
+            ("1" * 4301 + "x", "invalid int value: '%sx'" % ("1" * 4301)),
         ],
-        ids=["past-the-digit-limit", "not-an-integer"],
+        ids=["past-the-digit-limit", "not-an-integer", "long-non-integer", "long-trailing-junk"],
     )
     def test_bad_integer_option_is_two(self, capsys, value, message):
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +363,13 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: {where} has a 4301-digit integer; integers are limited to 4300 digits\n"
+
+    def test_long_non_integer_list_item_keeps_the_int_error(self, capsys):
+        item = "x" + "1" * 4301
+        with pytest.raises(ValueError, match="invalid literal") as own:
+            int(item)
+        code, out, err = run(capsys, "detect", "--boundaries", f"4,{item}", "--k", "2")
+        assert (code, out, err) == (1, "", f"error: {own.value}\n")
 
 
 class TestWorkCaps:
@@ -529,6 +567,8 @@ def argvs(draw) -> list[str]:
 @example([
     "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
 ])
+@example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
+@example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_invocations_exit_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()

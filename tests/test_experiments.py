@@ -150,6 +150,22 @@ class TestScanRatio:
         with pytest.raises(ValueError):
             scan_ratio(s1, 2, 600, 700, 7, stride=0)
 
+    @pytest.mark.parametrize(
+        "k, g, message",
+        [
+            (0, 7, "ratio k must be at least 2, got 0"),
+            (1, 7, "ratio k must be at least 2, got 1"),
+            (2, -1, "exponent g must be odd and positive, got -1"),
+            (2, 0, "exponent g must be odd and positive, got 0"),
+            (2, 2, "exponent g must be odd and positive, got 2"),
+        ],
+    )
+    def test_empty_window_still_checks_k_and_g(self, s1, k, g, message):
+        # n_hi < n_lo: no point is evaluated, so no per-point check runs
+        with pytest.raises(ValueError) as exc:
+            scan_ratio(s1, k, 12, 11, g)
+        assert str(exc.value) == message
+
 
 class TestSearchSeeds:
     def test_period_one_enumeration(self):
@@ -168,11 +184,6 @@ class TestSearchSeeds:
         (seed, rep), = results
         assert seed == (1,)
         assert rep.n_lo == 8  # t_3 of the doubling set seeded at 1
-
-    def test_explicit_window_start(self):
-        results = search_seeds(2, 1, 2, 0, 64, n_start=20)
-        for _, rep in results:
-            assert rep.n_lo == 20
 
     def test_deterministic_ranking(self):
         a = search_seeds(2, 3, 4, 3, 150)

@@ -16,6 +16,7 @@ from repfn import (
     count_weighted,
     decompose,
     enumerate_witnesses,
+    floor_constant,
     guaranteed_lower_bound,
     iter_witness_pairs,
     witness_q_range,
@@ -270,6 +271,17 @@ class TestScaleParameterGuards:
 class TestGuaranteedBound:
     def test_fixture(self, s1):
         assert guaranteed_lower_bound(s1, 10**8, 7) == Fraction(74771, 26)
+
+    @pytest.mark.parametrize("g", [-1, 0, 2])
+    def test_floor_constant_needs_odd_positive_g(self, s1, g):
+        with pytest.raises(ValueError, match="exponent g must be odd and positive"):
+            floor_constant(s1, g)
+        with pytest.raises(ValueError, match="exponent g must be odd and positive"):
+            guaranteed_lower_bound(s1, 10**8, g)
+
+    def test_n_is_checked_before_g(self, s1):
+        with pytest.raises(ValueError, match="target n must be nonnegative"):
+            guaranteed_lower_bound(s1, -1, 2)
 
     def test_clamped_at_zero(self, s1):
         assert guaranteed_lower_bound(s1, 10**6, 7) == 0
