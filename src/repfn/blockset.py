@@ -237,9 +237,11 @@ class BlockSet:
 
     @classmethod
     def from_doc(cls, doc: dict) -> BlockSet:
-        """Inverse of to_doc().  Numbers must be JSON integers, flags JSON booleans."""
+        """Inverse of to_doc().  Numbers must be JSON integers, flags JSON booleans;
+        a key that to_doc() does not write is rejected."""
         if not isinstance(doc, dict) or not isinstance(doc.get("boundaries"), list):
             raise ValueError("set document must be an object with a 'boundaries' list")
+        _doc_keys(doc, ("boundaries", "leading_gap", "tail"), "set document")
         leading_gap = doc.get("leading_gap", True)
         if not isinstance(leading_gap, bool):
             raise ValueError(f"leading_gap must be true or false, got {leading_gap!r}")
@@ -248,6 +250,7 @@ class BlockSet:
         if tail_doc is not None:
             if not isinstance(tail_doc, dict) or not {"a", "k"} <= tail_doc.keys():
                 raise ValueError(f"malformed tail rule: {tail_doc!r}")
+            _doc_keys(tail_doc, ("a", "k", "i0"), "tail rule")
             tail = TailRule(
                 a=_doc_int(tail_doc["a"], "tail a"),
                 k=_doc_int(tail_doc["k"], "tail k"),
@@ -258,6 +261,13 @@ class BlockSet:
             tail=tail,
             leading_gap=leading_gap,
         )
+
+
+def _doc_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    # a misspelt key would otherwise be dropped and its default read instead
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{what} has an unknown key {key!r}; known keys: {', '.join(known)}")
 
 
 def _doc_int(value: object, what: str) -> int:

@@ -59,11 +59,12 @@ def _parse_int(text: str, where: str, error: type[Exception] = ValueError) -> in
     """int(text); text that int() rejects for the digit limit alone raises error naming it."""
     try:
         return int(text)
-    except ValueError as exc:
+    except ValueError:
         try:  # with each digit run cut to one digit, only an integer parses
             int(re.sub(r"\d+", "0", text))
         except ValueError:
-            raise exc from None
+            # int()'s own message, which its digit limit can pre-empt on long text
+            raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}") from None
     limit = sys.get_int_max_str_digits()
     digits = sum(ch.isdigit() for ch in text)
     raise error(f"{where} has a {digits}-digit integer; integers are limited to {limit} digits")

@@ -1,13 +1,18 @@
 """Finite-horizon experiments on count equality between a set and its complement.
 
-Nothing here proves an asymptotic statement.  verify_equality checks, for
-each n in a window, whether the weighted count of the set equals that of its
-complement, and reports the first violation.  scan_ratio tracks r/n for the
-side that contains each n's lattice cell, against the theoretical floor
-1/(k^5*t_a*(k^g+2)), with k and t_a taken from the set's tail, and the trivial
-ceiling 1/k of the weights (1, k).  search_seeds enumerates
-small seeds at desk scale and ranks them by how long they survive; a ranking
-is an observation about a window, not a certificate.
+Nothing here proves an asymptotic statement.  With weights (1, k), each a2 in
+[0, n//k] pairs with a1 = n - k*a2, and the pair adds [a1 in S] + [a2 in S] - 1
+to D(n) = r(S, n) - r(complement, n).  So D(n) is one sum over the set's
+blocks below n, with no count of either side.  verify_equality decides
+equality at each n of a window from D(n) == 0 and reports the first
+violation; it counts r(S, n) only for a recorded per-n row, and reads the
+complement's count as r(S, n) - D(n).  scan_ratio counts r(S, n) once per
+point the same way and tracks r/n for the side that contains each n's
+lattice cell, against the theoretical floor 1/(k^5*t_a*(k^g+2)), with k and
+t_a taken from the set's tail, and the trivial ceiling 1/k of the weights
+(1, k).  search_seeds enumerates small seeds at desk scale and ranks them by
+how long they survive; a ranking is an observation about a window, not a
+certificate.
 """
 
 from __future__ import annotations
@@ -54,27 +59,44 @@ class EqualityReport:
         return doc
 
 
+def _count_difference(s: BlockSet, n: int, k: int) -> int:
+    """D(n) = r(s, n) - r(complement, n) for weights (1, k).
+
+    Each a2 in [0, n//k] pairs with a1 = n - k*a2 and adds
+    [a1 in s] + [a2 in s] - 1, so D(n) is |s & [0, n//k]| plus
+    |{x in s : x <= n, x % k == n % k}|, less n//k + 1.
+    """
+    q, r = divmod(n, k)
+    d = -(q + 1)
+    for lo, hi in s.materialize(n + 1):
+        d += max(0, min(hi, q + 1) - lo) + (hi - 1 - r) // k - (lo - 1 - r) // k
+    return d
+
+
 def verify_equality(
     s: BlockSet, k: int, n_lo: int, n_hi: int, record_per_n: bool = False
 ) -> EqualityReport:
-    """Compare the two counts pointwise with weights (1, k)."""
+    """Decide r(s, n) == r(complement, n) with weights (1, k) at each n of the window.
+
+    Equality is D(n) == 0, which counts neither side.  A recorded per-n row
+    costs one count, r(s, n), and reads r(complement, n) as r(s, n) - D(n).
+    """
     if k < 2:
         raise ValueError(f"ratio k must be at least 2, got {k}")
     if n_lo < 0:
         raise ValueError(f"window must start at a nonnegative n, got {n_lo}")
-    comp = s.complement()
     rows = []
     equal = 0
     first: int | None = None
     for n in range(n_lo, n_hi + 1):
-        ra = count_weighted(s, n, (1, k))
-        rc = count_weighted(comp, n, (1, k))
-        if ra == rc:
+        diff = _count_difference(s, n, k)
+        if diff == 0:
             equal += 1
         elif first is None:
             first = n
         if record_per_n:
-            rows.append((n, ra, rc))
+            ra = count_weighted(s, n, (1, k))
+            rows.append((n, ra, ra - diff))
     return EqualityReport(
         k=k,
         n_lo=n_lo,
@@ -123,20 +145,22 @@ class RatioScan:
 def scan_ratio(
     s: BlockSet, k: int, n_lo: int, n_hi: int, g: int, stride: int = 1
 ) -> RatioScan:
-    """Sample r/n on the containing side at n_lo, n_lo+stride, ..., <= n_hi."""
+    """Sample r/n on the containing side at n_lo, n_lo+stride, ..., <= n_hi.
+
+    Each point costs one count, r(s, n); r(complement, n) is r(s, n) - D(n).
+    """
     if k < 2:
         raise ValueError(f"ratio k must be at least 2, got {k}")
     if n_lo < 1:
         raise ValueError(f"scan window must start at n >= 1, got {n_lo}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    comp = s.complement()
     points = []
     for n in range(n_lo, n_hi + 1, stride):
         d = decompose(s, n, g)
         side = containing_side(s, d.s, d.ell)
         ra = count_weighted(s, n, (1, k))
-        rc = count_weighted(comp, n, (1, k))
+        rc = ra - _count_difference(s, n, k)
         r_side = ra if side == SIDE_SET else rc
         points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
     window_lo = -(-(n_lo + n_hi) // 2)

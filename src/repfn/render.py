@@ -18,7 +18,5 @@ def fraction_decimal(fr: Fraction, digits: int = 6) -> str:
     sign = "-" if fr < 0 else ""
     num, den = abs(fr.numerator), fr.denominator
     whole, rem = divmod(num, den)
-    if digits <= 0:
-        return f"{sign}{whole}"
     frac = rem * 10**digits // den
     return f"{sign}{whole}.{frac:0{digits}d}"

@@ -15,3 +15,9 @@ def s1() -> BlockSet:
 def dyadic() -> BlockSet:
     """[1,2) then every other dyadic block: [4,8), [16,32), ..."""
     return BlockSet((1,), TailRule(a=1, k=2, i0=0))
+
+
+@pytest.fixture
+def prefixed() -> BlockSet:
+    """[1,3) then [6,12), [24,48), ...: the doubling law holds from i0 = 1 on."""
+    return BlockSet((1, 3), TailRule(a=1, k=2, i0=1))

@@ -12,7 +12,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from repfn import BlockSet, TailRule, generate_from_seed
+from repfn import BlockSet, EqualityReport, TailRule, count_weighted, generate_from_seed
 
 
 def random_finite_set(rng: random.Random, max_blocks: int = 12, hi: int = 4096) -> BlockSet:
@@ -81,6 +81,34 @@ def count_weighted_blockpairs(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     return total
 
 
+def verify_equality_two_counts(
+    s: BlockSet, k: int, n_lo: int, n_hi: int, record_per_n: bool = False
+) -> EqualityReport:
+    """verify_equality as two full counts per n, one on the set and one on its
+    complement: the differential reference for the library's one-sum D(n)."""
+    comp = s.complement()
+    rows = []
+    equal = 0
+    first: int | None = None
+    for n in range(n_lo, n_hi + 1):
+        ra = count_weighted(s, n, (1, k))
+        rc = count_weighted(comp, n, (1, k))
+        if ra == rc:
+            equal += 1
+        elif first is None:
+            first = n
+        if record_per_n:
+            rows.append((n, ra, rc))
+    return EqualityReport(
+        k=k,
+        n_lo=n_lo,
+        n_hi=n_hi,
+        equal_count=equal,
+        first_violation=first,
+        per_n=tuple(rows) if record_per_n else None,
+    )
+
+
 def brute_classic(members: set[int], n: int, variant: str) -> int:
     small = {x for x in members if x <= n}
     if variant == "R1":
@@ -113,3 +141,15 @@ def tail_blocksets(draw) -> BlockSet:
     inner = st.integers(t0 + 1, max(t0 + 1, k * t0 - 1))  # the max only matters when a == 1
     rest = draw(st.lists(inner, min_size=a - 1, max_size=a - 1, unique=True))
     return BlockSet((t0, *sorted(rest)), TailRule(a, k, 0), draw(st.booleans()))
+
+
+@st.composite
+def prefixed_tail_blocksets(draw) -> BlockSet:
+    """A tail set whose law holds from i0 in 1..3 on: an irregular prefix of i0
+    boundaries below the seed of a tail_blocksets() set, either phase."""
+    anchored = draw(tail_blocksets())
+    t0 = anchored.boundaries[0]
+    i0 = draw(st.integers(1, min(3, t0)))
+    prefix = draw(st.lists(st.integers(0, t0 - 1), min_size=i0, max_size=i0, unique=True))
+    tail = TailRule(anchored.tail.a, anchored.tail.k, i0)
+    return BlockSet((*sorted(prefix), *anchored.boundaries), tail, anchored.leading_gap)

@@ -350,6 +350,30 @@ class TestDocRoundTrip:
         with pytest.raises(ValueError):
             BlockSet.from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}},
+                "set document has an unknown key 'tial'; known keys: boundaries, leading_gap, tail",
+            ),
+            (
+                {"boundaries": [4, 5, 7], "leading-gap": False},
+                "set document has an unknown key 'leading-gap'; known keys: boundaries, leading_gap, tail",
+            ),
+            (
+                {"boundaries": [4, 5, 7], "tail": {"a": 3, "k": 2, "io": 1}},
+                "tail rule has an unknown key 'io'; known keys: a, k, i0",
+            ),
+        ],
+        ids=["tial", "leading-gap", "io"],
+    )
+    def test_unknown_key_is_named(self, doc, message):
+        # a misspelt key used to be dropped and the default read in its place
+        with pytest.raises(ValueError) as exc:
+            BlockSet.from_doc(doc)
+        assert str(exc.value) == message
+
 
 class TestRandomizedMembership:
     def test_contains_agrees_with_interval_walk(self):

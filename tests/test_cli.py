@@ -371,6 +371,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "detect", "--boundaries", f"4,{item}", "--k", "2")
         assert (code, out, err) == (1, "", f"error: {own.value}\n")
 
+    def test_long_list_item_with_trailing_junk_is_not_an_integer(self, capsys):
+        # int() reports the digit limit here, before it reaches the x
+        item = "1" * 4301 + "x"
+        code, out, err = run(capsys, "detect", "--boundaries", f"4,{item}", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid literal for int() with base 10: '{'1' * 199}\n"
+
+    def test_unknown_set_key_is_one(self, capsys):
+        doc = '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}'
+        code, out, err = run(capsys, "eval", "--set", doc, "--n", "100", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: set document has an unknown key 'tial'; known keys: boundaries, leading_gap, tail\n"
+        )
+
 
 class TestWorkCaps:
     # one past each cap; without the caps each of these runs for seconds
@@ -567,6 +582,7 @@ def argvs(draw) -> list[str]:
 @example([
     "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
 ])
+@example(["eval", "--set", '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}', "--n", "100", "--k", "2"])
 @example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
 @example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])
 @settings(max_examples=200, deadline=None)

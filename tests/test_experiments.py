@@ -6,10 +6,18 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    finite_blocksets,
+    prefixed_tail_blocksets,
+    tail_blocksets,
+    verify_equality_two_counts,
+)
 from repfn import (
     BlockSet,
     count_weighted,
+    experiments,
     guaranteed_lower_bound,
     scan_ratio,
     scan_to_csv,
@@ -84,6 +92,55 @@ class TestVerifyEquality:
             verify_equality(s1, 1, 0, 10)
         with pytest.raises(ValueError):
             verify_equality(s1, 2, -5, 10)
+
+
+TARGETS = st.integers(0, 3000) | st.integers(0, 10**40)
+
+
+class TestOneSumAgainstTwoCounts:
+    """D(n) summed once over the blocks against two full counts per n."""
+
+    @given(
+        st.one_of(finite_blocksets(), tail_blocksets(), prefixed_tail_blocksets()),
+        st.integers(2, 6),
+        TARGETS,
+        st.integers(-1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_verify_equality(self, s, k, n_lo, width):
+        for per_n in (False, True):
+            ref = verify_equality_two_counts(s, k, n_lo, n_lo + width, per_n)
+            assert verify_equality(s, k, n_lo, n_lo + width, record_per_n=per_n) == ref
+
+    @given(tail_blocksets(), st.integers(2, 6), TARGETS, st.integers(0, 12), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_points(self, s, k, offset, width, stride):
+        # with g = 1, every n >= (k_tail + 1)*t_0 lies on the boundary lattice
+        n_lo = (s.tail.k + 1) * s.boundaries[0] + offset
+        scan = scan_ratio(s, k, n_lo, n_lo + width, 1, stride)
+        ref = verify_equality_two_counts(s, k, n_lo, n_lo + width, record_per_n=True)
+        assert [(p.n, p.r_set, p.r_comp) for p in scan.points] == list(ref.per_n[::stride])
+
+    def test_prefixed_set_is_equal_on_a_clean_window(self, prefixed):
+        rep = verify_equality(prefixed, 2, 1, 3000)
+        assert (rep.equal_count, rep.first_violation) == (3000, None)
+        assert rep == verify_equality_two_counts(prefixed, 2, 1, 3000)
+
+    def test_counts_per_point(self, s1, monkeypatch):
+        # an equality check counts nothing; a per-n row or a scan point counts the set once
+        counted = []
+
+        def counting(s, n, w):
+            counted.append((s, n))
+            return count_weighted(s, n, w)
+
+        monkeypatch.setattr(experiments, "count_weighted", counting)
+        monkeypatch.setattr(BlockSet, "complement", None)
+        verify_equality(s1, 2, 600, 640)
+        assert counted == []
+        verify_equality(s1, 2, 600, 640, record_per_n=True)
+        scan_ratio(s1, 2, 600, 640, 7, stride=4)
+        assert counted == [(s1, n) for n in range(600, 641)] + [(s1, n) for n in range(600, 641, 4)]
 
 
 class TestScanRatio:
