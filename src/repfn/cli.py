@@ -15,7 +15,6 @@ import re
 import sys
 import warnings
 from dataclasses import asdict
-from pathlib import Path
 
 from .blockset import BlockSet
 from .experiments import scan_ratio, scan_to_csv, verify_equality
@@ -24,9 +23,9 @@ from .repcount import CLASSIC_VARIANTS, count_classic, count_weighted, count_wei
 from .structure import decompose, detect_tail, generate_from_seed, multiplicative_profile, select_g
 from .witness import WitnessValidationError, enumerate_witnesses
 
-# Work caps for the paths whose cost grows with n or with the window, not with
-# the number of blocks: the O(n) oracle behind `eval --check`, and the
-# per-point counts of `verify-psi` and `scan`.
+# Work caps: n for the O(n) oracle behind `eval --check`, and the number of
+# window points of `verify-psi` and `scan`.  The window cap bounds points, not
+# time: a point costs O(B) or O(B log B) in the number B of blocks below n.
 CHECK_MAX_N = 10**7
 WINDOW_MAX_POINTS = 10**4
 
@@ -34,11 +33,11 @@ WINDOW_MAX_POINTS = 10**4
 def _load_set(source: str) -> BlockSet:
     text = source
     if not source.lstrip().startswith("{"):
-        path = Path(source)
-        if not path.exists():
-            raise ValueError(f"set file not found: {source}")
         try:
-            text = path.read_text()
+            with open(source) as f:
+                text = f.read()
+        except (FileNotFoundError, NotADirectoryError):  # f.json/x names no file either
+            raise ValueError(f"set file not found: {source}") from None
         except OSError as exc:
             raise ValueError(f"cannot read set file {source}: {exc.strerror or exc}") from exc
     try:
@@ -119,8 +118,7 @@ def _cmd_eval(args, parser) -> int:
         ref = count_weighted_oracle(s, args.n, w)
         doc["oracle"] = str(ref)
         if ref != count:
-            print(f"error: closed form {count} != oracle {ref}", file=sys.stderr)
-            return 1
+            raise ValueError(f"closed form {count} != oracle {ref}")
     return _emit(args, doc, human=f"{count}\n")
 
 
@@ -221,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repfn",
         description="Exact representation counting over self-similar block sets.",
         epilog=f"Work caps: eval --check takes n <= {CHECK_MAX_N}; verify-psi and scan "
-        f"evaluate at most {WINDOW_MAX_POINTS} window points.",
+        f"evaluate at most {WINDOW_MAX_POINTS} window points. That caps points, not time: "
+        "a point costs O(B) for verify-psi and O(B log B) for scan or a --per-n row, B "
+        "the number of blocks below n, so a full window near n = 1e4000 runs 30 min or more.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

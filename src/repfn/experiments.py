@@ -27,7 +27,7 @@ from .blockset import BlockSet
 from .render import fraction_decimal, fraction_str
 from .repcount import count_weighted
 from .structure import decompose, generate_from_seed
-from .witness import SIDE_SET, containing_side, floor_constant
+from .witness import floor_constant
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class RatioScan:
 def scan_ratio(
     s: BlockSet, k: int, n_lo: int, n_hi: int, g: int, stride: int = 1
 ) -> RatioScan:
-    """Sample r/n on the containing side at n_lo, n_lo+stride, ..., <= n_hi.
+    """Sample r/n at n_lo, n_lo+stride, ..., <= n_hi on the side holding n // (k^g + 1).
 
     Each point costs one count, r(s, n); r(complement, n) is r(s, n) - D(n).
     """
@@ -155,21 +155,24 @@ def scan_ratio(
         raise ValueError(f"scan window must start at n >= 1, got {n_lo}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
+    floor_c = floor_constant(s, g)  # checks the tail and g, also for an empty window
     points = []
-    for n in range(n_lo, n_hi + 1, stride):
-        d = decompose(s, n, g)
-        side = containing_side(s, d.s, d.ell)
-        ra = count_weighted(s, n, (1, k))
-        rc = ra - _count_difference(s, n, k)
-        r_side = ra if side == SIDE_SET else rc
-        points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
+    if n_lo <= n_hi:
+        decompose(s, n_lo, g)  # n_lo's quotient is on the lattice, so every later one is
+        c = s.tail.k**g + 1
+        member = s.membership(n_hi // c)
+        for n in range(n_lo, n_hi + 1, stride):
+            ra = count_weighted(s, n, (1, k))
+            rc = ra - _count_difference(s, n, k)
+            r_side = ra if member(n // c) else rc
+            points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
     window_lo = -(-(n_lo + n_hi) // 2)
     tail_ratios = [p.ratio for p in points if p.n >= window_lo]
     return RatioScan(
         points=tuple(points),
         window_lo=window_lo,
         min_ratio=min(tail_ratios) if tail_ratios else None,
-        theoretical_floor=Fraction(1, floor_constant(s, g)),
+        theoretical_floor=Fraction(1, floor_c),
         trivial_ceiling=Fraction(1, k),
     )
 

@@ -130,9 +130,9 @@ def guaranteed_lower_bound(s: BlockSet, n: int, g: int) -> Fraction:
 class WitnessReport:
     """Outcome of one witness enumeration.
 
-    pairs_checked equals the size of the emitted q-interval; every candidate
-    was validated (sum identity plus membership of both components on the
-    containing side) before being counted.
+    pairs_checked equals the size of the emitted q-interval; both components
+    of every pair were checked for membership of the containing side before
+    being counted.  a1 + k*a2 = n holds by construction, checked once per family.
     """
 
     decomposition: Decomposition
@@ -198,22 +198,19 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
 
 
 def _validated_pairs(s, d, case, side, q_lo, q_hi):
+    """Pairs (m + sign*k*q + r, k^(g-1)*m - sign*q), sign -1 in case II, else +1:
+    a1 + k*a2 = n at every q, so the sum is checked at q_lo and membership per pair."""
     if q_lo > q_hi:
         return
     k = s.tail.k
-    lead = k ** (d.g - 1) * d.m
-    if case == "II":
-        a1, a2, step1, step2 = d.m - k * q_lo + d.r, lead + q_lo, -k, 1
-    else:
-        a1, a2, step1, step2 = d.m + k * q_lo + d.r, lead - q_lo, k, -1
+    sign = -1 if case == "II" else 1
+    a1 = d.m + sign * k * q_lo + d.r
+    a2 = k ** (d.g - 1) * d.m - sign * q_lo
+    if a1 + k * a2 != d.n:
+        raise WitnessValidationError(f"q={q_lo}: {a1} + {k}*{a2} != {d.n} (sum identity broken)")
     side_set = s if side == SIDE_SET else s.complement()
-    top = max(a1, a1 + step1 * (q_hi - q_lo), a2, a2 + step2 * (q_hi - q_lo))
-    member = side_set.membership(top)
+    member = side_set.membership(max(a1, a2) + k * (q_hi - q_lo))
     for q in range(q_lo, q_hi + 1):
-        if a1 + k * a2 != d.n:
-            raise WitnessValidationError(
-                f"q={q}: {a1} + {k}*{a2} != {d.n} (sum identity broken)"
-            )
         if not (member(a1) and member(a2)):
             v = a2 if member(a1) else a1
             raise WitnessValidationError(
@@ -221,5 +218,5 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
                 f"({side}); set structure broken or k^g below threshold"
             )
         yield a1, a2
-        a1 += step1
-        a2 += step2
+        a1 += sign * k
+        a2 -= sign

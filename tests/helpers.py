@@ -8,11 +8,24 @@ closed-form counting path.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import strategies as st
 
-from repfn import BlockSet, EqualityReport, TailRule, count_weighted, generate_from_seed
+from repfn import (
+    BlockSet,
+    EqualityReport,
+    RatioScan,
+    ScanPoint,
+    TailRule,
+    containing_side,
+    count_weighted,
+    decompose,
+    floor_constant,
+    generate_from_seed,
+)
+from repfn.witness import SIDE_SET
 
 
 def random_finite_set(rng: random.Random, max_blocks: int = 12, hi: int = 4096) -> BlockSet:
@@ -106,6 +119,39 @@ def verify_equality_two_counts(
         equal_count=equal,
         first_violation=first,
         per_n=tuple(rows) if record_per_n else None,
+    )
+
+
+def scan_ratio_per_point(
+    s: BlockSet, k: int, n_lo: int, n_hi: int, g: int, stride: int = 1
+) -> RatioScan:
+    """scan_ratio with each point's side read from its own decomposition:
+    decompose(n) and the containing_side of its lattice cell at every point,
+    and both sides counted in full.  The differential reference for the
+    library's one membership predicate per window."""
+    if k < 2:
+        raise ValueError(f"ratio k must be at least 2, got {k}")
+    if n_lo < 1:
+        raise ValueError(f"scan window must start at n >= 1, got {n_lo}")
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    comp = s.complement()
+    points = []
+    for n in range(n_lo, n_hi + 1, stride):
+        d = decompose(s, n, g)
+        side = containing_side(s, d.s, d.ell)
+        ra = count_weighted(s, n, (1, k))
+        rc = count_weighted(comp, n, (1, k))
+        r_side = ra if side == SIDE_SET else rc
+        points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
+    window_lo = -(-(n_lo + n_hi) // 2)
+    tail_ratios = [p.ratio for p in points if p.n >= window_lo]
+    return RatioScan(
+        points=tuple(points),
+        window_lo=window_lo,
+        min_ratio=min(tail_ratios) if tail_ratios else None,
+        theoretical_floor=Fraction(1, floor_constant(s, g)),
+        trivial_ceiling=Fraction(1, k),
     )
 
 

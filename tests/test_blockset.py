@@ -350,6 +350,12 @@ class TestDocRoundTrip:
         with pytest.raises(ValueError):
             BlockSet.from_doc(doc)
 
+    @pytest.mark.parametrize("tail", [3, {"a": 3}])
+    def test_malformed_tail_rule(self, tail):
+        with pytest.raises(ValueError) as exc:
+            BlockSet.from_doc({"boundaries": [4, 5, 7], "tail": tail})
+        assert str(exc.value) == f"malformed tail rule: {tail!r}"
+
     @pytest.mark.parametrize(
         "doc, message",
         [

@@ -328,6 +328,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--set", "no/such/set.json", "--n", "1", "--k", "2")
         assert (code, err) == (1, "error: set file not found: no/such/set.json\n")
 
+    def test_overlong_set_path_is_one(self, capsys):
+        path = "a" * 5000  # longer than any file name the system accepts
+        code, out, err = run(capsys, "eval", "--set", path, "--n", "5", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read set file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_empty_integer_list_is_one(self, capsys):
+        code, out, err = run(capsys, "detect", "--boundaries", ",", "--k", "2")
+        assert (code, out, err) == (1, "", "error: empty integer list\n")
+
     def test_warning_is_one_plain_line(self, capsys):
         # g = 1 is below S1's threshold: the library warns, the CLI prints one line
         code, out, err = run(
@@ -582,6 +593,7 @@ def argvs(draw) -> list[str]:
 @example([
     "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
 ])
+@example(["eval", "--set", "a" * 5000, "--n", "5", "--k", "2"])
 @example(["eval", "--set", '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}', "--n", "100", "--k", "2"])
 @example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
 @example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])

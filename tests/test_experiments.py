@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     finite_blocksets,
     prefixed_tail_blocksets,
+    scan_ratio_per_point,
     tail_blocksets,
     verify_equality_two_counts,
 )
@@ -22,6 +23,7 @@ from repfn import (
     scan_ratio,
     scan_to_csv,
     search_seeds,
+    select_g,
     verify_equality,
 )
 
@@ -143,6 +145,53 @@ class TestOneSumAgainstTwoCounts:
         assert counted == [(s1, n) for n in range(600, 641)] + [(s1, n) for n in range(600, 641, 4)]
 
 
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scan_cases(draw):
+    """(set, k, n_lo, n_hi, g, stride): windows that may be empty, start below the
+    lattice or straddle its first point (c*t_0, c = k_tail^g + 1)."""
+    s = draw(tail_blocksets())
+    g = draw(st.sampled_from((1, 3, select_g(s).g)))
+    first = (s.tail.k**g + 1) * s.boundaries[0]
+    n_lo = draw(
+        st.integers(-1, 3000)
+        | st.integers(max(1, first - 12), first + 12)
+        | st.integers(first, first + 5000)
+        | st.integers(first, first * 10**30)
+    )
+    n_hi = n_lo + draw(st.integers(-2, 12))
+    return s, draw(st.integers(2, 6)), n_lo, n_hi, g, draw(st.integers(1, 3))
+
+
+class TestOneMembershipPredicate:
+    """Each point's side from one predicate per window against a decomposition per point."""
+
+    @given(scan_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_point_sides(self, case):
+        assert _outcome(scan_ratio, *case) == _outcome(scan_ratio_per_point, *case)
+
+    def test_decomposes_once_per_window(self, s1, monkeypatch):
+        calls = []
+        real = experiments.decompose
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "decompose", counting)
+        scan_ratio(s1, 2, 600, 640, 7, stride=4)
+        scan_ratio(s1, 2, 600, 599, 7)
+        assert calls == [(s1, 600, 7)]
+
+
 class TestScanRatio:
     def test_point_count_and_window(self, s1):
         scan = scan_ratio(s1, 2, 600, 700, 7, stride=10)
@@ -249,6 +298,14 @@ class TestSearchSeeds:
         # violated seeds are ordered by how long they survived
         violated = [rep.first_violation for _, rep in a if rep.first_violation is not None]
         assert violated == sorted(violated, reverse=True)
+
+    def test_clean_seeds_rank_first_by_seed(self):
+        # horizon 1 leaves each window [8*t_0, 1] empty, so every seed is clean
+        results = search_seeds(2, 1, 3, 0, 1)
+        assert [seed for seed, _ in results] == [(1,), (2,), (3,)]
+        for (t0,), rep in results:
+            assert (rep.n_lo, rep.n_hi, rep.equal_count) == (8 * t0, 1, 0)
+            assert rep.first_violation is None
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,11 @@ class TestDetectTail:
         with pytest.raises(InsufficientDataError):
             detect_tail([], 2)
 
+    def test_rejects_unsorted_boundaries(self):
+        with pytest.raises(ValueError) as exc:
+            detect_tail([5, 3], 2)
+        assert str(exc.value) == "boundaries must be strictly increasing"
+
     def test_round_trip_with_generation(self):
         rng = random.Random(20260819)
         for _ in range(60):
@@ -90,6 +95,11 @@ class TestGenerateFromSeed:
     def test_even_period_rejected(self):
         with pytest.raises(ValueError):
             generate_from_seed([4, 5], 2, 2, 100)
+
+    def test_seed_length_must_match_period(self):
+        with pytest.raises(ValueError) as exc:
+            generate_from_seed((4, 5), 3, 2, 100)
+        assert str(exc.value) == "seed must have exactly a=3 entries, got 2"
 
 
 class TestSelectG:
@@ -139,6 +149,11 @@ class TestDecompose:
     def test_below_threshold_rejected(self, s1):
         with pytest.raises(ValueError):
             decompose(s1, 515, 7)
+
+    def test_negative_n_rejected(self, s1):
+        with pytest.raises(ValueError) as exc:
+            decompose(s1, -1, 7)
+        assert str(exc.value) == "target n must be nonnegative, got -1"
 
     def test_reconstruction_identity(self, s1):
         rng = random.Random(41)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import tail_blocksets
 from repfn import (
     BlockSet,
     Decomposition,
@@ -19,6 +23,7 @@ from repfn import (
     floor_constant,
     guaranteed_lower_bound,
     iter_witness_pairs,
+    select_g,
     witness_q_range,
 )
 
@@ -50,6 +55,15 @@ class TestContainingSide:
                 side = containing_side(s1, scale, ell)
                 assert s1.contains(lo) == (side == "set")
 
+    @pytest.mark.parametrize(
+        "scale, ell, message",
+        [(0, 3, "ell must lie in [0, 3), got 3"), (-1, 0, "scale must be nonnegative, got -1")],
+    )
+    def test_rejects_a_cell_off_the_lattice(self, s1, scale, ell, message):
+        with pytest.raises(ValueError) as exc:
+            containing_side(s1, scale, ell)
+        assert str(exc.value) == message
+
 
 class TestClassifyCase:
     def test_interior(self, s1):
@@ -76,6 +90,12 @@ class TestClassifyCase:
         d = decompose(s1, 129 * (2**11 * 4 - 2**6), 7)
         assert d.s == 10 and d.ell == 2
         assert classify_case(s1, d) == "III"
+
+    def test_rejects_a_decomposition_of_another_set(self, s1):
+        d = Decomposition(10**8, 5, 0, 3, 1, 7)  # m = 5 is not in block 1 + 3*3
+        with pytest.raises(ValueError) as exc:
+            classify_case(s1, d)
+        assert str(exc.value) == "decomposition does not match set: m=5 not in [40,56)"
 
     def test_cases_partition_every_m(self, s1):
         # at any scale the three bands cover the cell without overlap
@@ -211,6 +231,59 @@ class TestPairValidity:
         assert i2 == {50}  # [2^16*7, 2^17*4)
 
 
+@st.composite
+def lattice_targets(draw):
+    """(set, n, g) with g = select_g(set).g and n's quotient m at scale 5 or 6,
+    drawn from the left band, the middle or the right band of its cell."""
+    s = draw(tail_blocksets())
+    a, k = s.tail.a, s.tail.k
+    g = select_g(s).g
+    j = draw(st.integers(0, a - 1)) + draw(st.sampled_from((5, 6))) * a
+    lo, hi = int(s.boundary(j)), int(s.boundary(j + 1))
+    band = k ** (j // a - 4)
+    m = draw(
+        st.integers(lo, lo + band - 1)
+        | st.integers(lo + band, hi - band - 1)
+        | st.integers(hi - band, hi - 1)
+    )
+    r = draw(st.integers(0, k) | st.integers(0, k**g))  # case I needs r < k^(s-5)
+    return s, (k**g + 1) * m + r, g
+
+
+def docstring_pairs(s, n, g):
+    """The witness family written out from the module docstring's formulas:
+    (m + k*q + r, k^(g-1)*m - q) in cases I and III, (m - k*q + r, k^(g-1)*m + q)
+    in case II, for q over witness_q_range."""
+    k = s.tail.k
+    d = decompose(s, n, g)
+    case = classify_case(s, d)
+    q_lo, q_hi = witness_q_range(s, d, case)
+    for q in range(q_lo, q_hi + 1):
+        if case == "II":
+            yield d.m - k * q + d.r, k ** (g - 1) * d.m + q
+        else:
+            yield d.m + k * q + d.r, k ** (g - 1) * d.m - q
+
+
+class TestDocstringFamily:
+    """The streamed family against the docstring's formulas, pair by pair."""
+
+    CAP = 5000  # edge-zone families at k = 5 reach about 10^5 pairs
+
+    @given(lattice_targets())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_is_the_docstring_family(self, target):
+        s, n, g = target
+        d = decompose(s, n, g)
+        assert d.s in (5, 6)
+        side_set = s if containing_side(s, d.s, d.ell) == "set" else s.complement()
+        expected = list(islice(docstring_pairs(s, n, g), self.CAP))
+        for a1, a2 in expected:
+            assert a1 + s.tail.k * a2 == n
+            assert a1 in side_set and a2 in side_set
+        assert list(islice(iter_witness_pairs(s, n, g), self.CAP)) == expected
+
+
 class TestEdgeGapCounterexample:
     """The q-interval can fall short of half a scaled unit when the adjacent
     gap is narrow; the family stays valid, only its size shrinks."""
@@ -252,8 +325,12 @@ class TestScaleParameterGuards:
         # with g = 1 and a wide-gap seed, a2 = m + q walks off its block and
         # the per-pair check trips
         s = BlockSet((100, 101, 199), TailRule(3, 2, 0))
+        message = (
+            "q=1024: component 103424 not in the containing side (set); "
+            "set structure broken or k^g below threshold"
+        )
         with pytest.warns(UserWarning):
-            with pytest.raises(WitnessValidationError):
+            with pytest.raises(WitnessValidationError, match=f"^{re.escape(message)}$"):
                 enumerate_witnesses(s, 3 * 102400, 1)
 
     def test_even_g_rejected(self, s1):
