@@ -41,7 +41,6 @@ from .witness import (
     WitnessReport,
     WitnessValidationError,
     classify_case,
-    containing_side,
     enumerate_witnesses,
     floor_constant,
     guaranteed_lower_bound,
@@ -69,7 +68,6 @@ __all__ = [
     "MultiplicativeProfile",
     "intersection_nonempty",
     "InsufficientDataError",
-    "containing_side",
     "classify_case",
     "witness_q_range",
     "enumerate_witnesses",

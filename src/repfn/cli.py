@@ -33,13 +33,14 @@ WINDOW_MAX_POINTS = 10**4
 def _load_set(source: str) -> BlockSet:
     text = source
     if not source.lstrip().startswith("{"):
+        shown = source if len(source) <= 200 else f"{source[:200]}..."
         try:
             with open(source) as f:
                 text = f.read()
         except (FileNotFoundError, NotADirectoryError):  # f.json/x names no file either
-            raise ValueError(f"set file not found: {source}") from None
+            raise ValueError(f"set file not found: {shown}") from None
         except OSError as exc:
-            raise ValueError(f"cannot read set file {source}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot read set file {shown}: {exc.strerror or exc}") from exc
     try:
         doc = json.loads(text, parse_int=lambda p: _parse_int(p, "set document"))
     except json.JSONDecodeError as exc:

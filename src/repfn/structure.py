@@ -117,7 +117,8 @@ def decompose(s: BlockSet, n: int, g: int) -> Decomposition:
         raise ValueError(f"exponent g must be odd and positive, got {g}")
     if n < 0:
         raise ValueError(f"target n must be nonnegative, got {n}")
-    m, r = divmod(n, tail.k**g + 1)
+    # k^g >= 2^g > n once g reaches n's bit length: then m = 0, and k^g is never built
+    m, r = divmod(n, tail.k**g + 1) if g < n.bit_length() else (0, n)
     j = s.block_index(m)
     if j < 0:
         raise ValueError(

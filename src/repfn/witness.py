@@ -50,17 +50,6 @@ class WitnessValidationError(RuntimeError):
     """
 
 
-def containing_side(s: BlockSet, scale: int, ell: int) -> str:
-    """Which side of the partition owns block number ell + scale*a."""
-    tail = s.anchored_tail()
-    if not 0 <= ell < tail.a:
-        raise ValueError(f"ell must lie in [0, {tail.a}), got {ell}")
-    if scale < 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
-    j = ell + scale * tail.a
-    return SIDE_SET if s.block_in_set(j) else SIDE_COMPLEMENT
-
-
 def classify_case(s: BlockSet, d: Decomposition) -> str:
     """Exact zone of m inside its lattice cell: "I", "II", or "III"."""
     tail = s.anchored_tail()
@@ -132,7 +121,8 @@ class WitnessReport:
 
     pairs_checked equals the size of the emitted q-interval; both components
     of every pair were checked for membership of the containing side before
-    being counted.  a1 + k*a2 = n holds by construction, checked once per family.
+    being counted.  a1 + k*a2 = n holds by construction and is covered by
+    tests, not checked at run time.
     """
 
     decomposition: Decomposition
@@ -190,7 +180,7 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
     """(decomposition, case, side, q_lo, q_hi) of the witness family for n."""
     d = decompose(s, n, g)
     case = classify_case(s, d)
-    side = containing_side(s, d.s, d.ell)
+    side = SIDE_SET if s.block_in_set(d.ell + d.s * s.tail.a) else SIDE_COMPLEMENT
     # Below scale 5 the interval inequalities no longer pin candidates inside
     # real blocks; the family is defined to be empty there.
     q_lo, q_hi = witness_q_range(s, d, case) if d.s >= 5 else (0, -1)
@@ -199,15 +189,14 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
 
 def _validated_pairs(s, d, case, side, q_lo, q_hi):
     """Pairs (m + sign*k*q + r, k^(g-1)*m - sign*q), sign -1 in case II, else +1:
-    a1 + k*a2 = n at every q, so the sum is checked at q_lo and membership per pair."""
+    a1 + k*a2 = m + r + k^g*m = n at every q by construction, covered by tests and
+    not checked at run time; membership is checked per pair."""
     if q_lo > q_hi:
         return
     k = s.tail.k
     sign = -1 if case == "II" else 1
     a1 = d.m + sign * k * q_lo + d.r
     a2 = k ** (d.g - 1) * d.m - sign * q_lo
-    if a1 + k * a2 != d.n:
-        raise WitnessValidationError(f"q={q_lo}: {a1} + {k}*{a2} != {d.n} (sum identity broken)")
     side_set = s if side == SIDE_SET else s.complement()
     member = side_set.membership(max(a1, a2) + k * (q_hi - q_lo))
     for q in range(q_lo, q_hi + 1):

@@ -19,13 +19,11 @@ from repfn import (
     RatioScan,
     ScanPoint,
     TailRule,
-    containing_side,
     count_weighted,
     decompose,
     floor_constant,
     generate_from_seed,
 )
-from repfn.witness import SIDE_SET
 
 
 def random_finite_set(rng: random.Random, max_blocks: int = 12, hi: int = 4096) -> BlockSet:
@@ -126,9 +124,9 @@ def scan_ratio_per_point(
     s: BlockSet, k: int, n_lo: int, n_hi: int, g: int, stride: int = 1
 ) -> RatioScan:
     """scan_ratio with each point's side read from its own decomposition:
-    decompose(n) and the containing_side of its lattice cell at every point,
-    and both sides counted in full.  The differential reference for the
-    library's one membership predicate per window."""
+    decompose(n) and the parity of its lattice cell's block number ell + s*a
+    at every point, and both sides counted in full.  The differential
+    reference for the library's one membership predicate per window."""
     if k < 2:
         raise ValueError(f"ratio k must be at least 2, got {k}")
     if n_lo < 1:
@@ -139,10 +137,10 @@ def scan_ratio_per_point(
     points = []
     for n in range(n_lo, n_hi + 1, stride):
         d = decompose(s, n, g)
-        side = containing_side(s, d.s, d.ell)
+        on_set = ((d.ell + d.s * s.tail.a) % 2 == 0) == s.leading_gap
         ra = count_weighted(s, n, (1, k))
         rc = count_weighted(comp, n, (1, k))
-        r_side = ra if side == SIDE_SET else rc
+        r_side = ra if on_set else rc
         points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
     window_lo = -(-(n_lo + n_hi) // 2)
     tail_ratios = [p.ratio for p in points if p.n >= window_lo]
@@ -179,10 +177,10 @@ def finite_blocksets(draw, max_blocks: int = 8, hi: int = 512) -> BlockSet:
 
 
 @st.composite
-def tail_blocksets(draw) -> BlockSet:
-    """A two-sided tail set t_(i+a) = k*t_i, a in 1..7 odd, k in 2..5, either phase."""
+def tail_blocksets(draw, k_max: int = 5) -> BlockSet:
+    """A two-sided tail set t_(i+a) = k*t_i, a in 1..7 odd, k in 2..k_max, either phase."""
     a = draw(st.sampled_from((1, 3, 5, 7)))
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, k_max))
     t0 = draw(st.integers(-(-a // (k - 1)), 60))  # room for a-1 values in (t0, k*t0)
     inner = st.integers(t0 + 1, max(t0 + 1, k * t0 - 1))  # the max only matters when a == 1
     rest = draw(st.lists(inner, min_size=a - 1, max_size=a - 1, unique=True))

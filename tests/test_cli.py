@@ -332,8 +332,15 @@ class TestExitCodes:
         path = "a" * 5000  # longer than any file name the system accepts
         code, out, err = run(capsys, "eval", "--set", path, "--n", "5", "--k", "2")
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: cannot read set file {path}: ")
+        assert err.startswith("error: cannot read set file ")
         assert err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_long_missing_path_is_cut_at_200_characters(self, capsys):
+        for path in ("no/" * 66 + "ab", "no/" * 66 + "abc"):  # 200 and 201 characters
+            code, out, err = run(capsys, "eval", "--set", path, "--n", "1", "--k", "2")
+            shown = path if len(path) <= 200 else path[:200] + "..."
+            assert (code, out, err) == (1, "", f"error: set file not found: {shown}\n")
 
     def test_empty_integer_list_is_one(self, capsys):
         code, out, err = run(capsys, "detect", "--boundaries", ",", "--k", "2")
@@ -594,6 +601,7 @@ def argvs(draw) -> list[str]:
     "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
 ])
 @example(["eval", "--set", "a" * 5000, "--n", "5", "--k", "2"])
+@example(["decompose", "--set", S1_DOC, "--n", "100", "--g", "100000001"])
 @example(["eval", "--set", '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}', "--n", "100", "--k", "2"])
 @example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
 @example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])

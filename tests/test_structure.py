@@ -155,6 +155,32 @@ class TestDecompose:
             decompose(s1, -1, 7)
         assert str(exc.value) == "target n must be nonnegative, got -1"
 
+    def test_huge_g_is_below_t0_like_any_other(self, s1):
+        # k^g > n from g = n.bit_length() on, so m = 0 without building k^g
+        messages = []
+        for g in (7, 10**6 + 1):
+            with pytest.raises(ValueError) as exc:
+                decompose(s1, 100, g)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            "n = 100 too small: quotient m = 0 sits below t_0 = 4, off the boundary lattice"
+        )
+
+    @pytest.mark.parametrize(
+        "s", [BlockSet((4, 5, 7), TailRule(3, 2, 0)), BlockSet((1,), TailRule(1, 3, 0))]
+    )
+    def test_quotient_around_the_bit_length(self, s):
+        k, t0 = s.tail.k, s.boundaries[0]
+        for n in range(0, 600):
+            for g in range(1, 14, 2):
+                m, r = divmod(n, k**g + 1)
+                if m < t0:
+                    with pytest.raises(ValueError, match=f"quotient m = {m} sits below"):
+                        decompose(s, n, g)
+                else:
+                    d = decompose(s, n, g)
+                    assert (d.m, d.r) == (m, r)
+
     def test_reconstruction_identity(self, s1):
         rng = random.Random(41)
         for _ in range(300):

@@ -16,7 +16,6 @@ from repfn import (
     TailRule,
     WitnessValidationError,
     classify_case,
-    containing_side,
     count_weighted,
     decompose,
     enumerate_witnesses,
@@ -36,33 +35,45 @@ def block_index(s: BlockSet, x: int) -> int:
 
 
 class TestContainingSide:
+    """The report's side is the side of m's lattice cell, block ell + s*a."""
+
     def test_fixtures(self, s1):
-        assert containing_side(s1, 10, 2) == "set"
-        assert containing_side(s1, 17, 1) == "set"
-        assert containing_side(s1, 1, 0) == "complement"
+        # n = 129*m at g = 7: m = 2^10*7 is block 32, 2^17*5 + 2^15 block 52, 2*4 block 3
+        assert enumerate_witnesses(s1, 129 * 2**10 * 7, 7).side == "set"
+        assert enumerate_witnesses(s1, 129 * (2**17 * 5 + 2**15), 7).side == "set"
+        assert enumerate_witnesses(s1, 129 * 2 * 4, 7).side == "complement"
 
     def test_parity_rule(self, s1):
         for scale in range(0, 6):
             for ell in range(3):
+                rep = enumerate_witnesses(s1, 129 * int(s1.boundary(ell)) * 2**scale, 7)
+                d = rep.decomposition
+                assert (d.s, d.ell) == (scale, ell)
                 expected = "set" if (ell + scale * 3) % 2 == 0 else "complement"
-                assert containing_side(s1, scale, ell) == expected
+                assert rep.side == expected
 
     def test_agrees_with_membership(self, s1):
         # the cell [2^s * t_ell, 2^s * t_(ell+1)) lies wholly on the reported side
         for scale in range(0, 8):
             for ell in range(3):
                 lo = int(s1.boundary(ell)) * 2**scale
-                side = containing_side(s1, scale, ell)
-                assert s1.contains(lo) == (side == "set")
+                hi = int(s1.boundary(ell + 1)) * 2**scale
+                on_set = enumerate_witnesses(s1, 129 * lo, 7).side == "set"
+                assert s1.block_in_set(ell + scale * 3) == on_set
+                assert s1.contains(lo) == on_set and s1.contains(hi - 1) == on_set
 
-    @pytest.mark.parametrize(
-        "scale, ell, message",
-        [(0, 3, "ell must lie in [0, 3), got 3"), (-1, 0, "scale must be nonnegative, got -1")],
-    )
-    def test_rejects_a_cell_off_the_lattice(self, s1, scale, ell, message):
-        with pytest.raises(ValueError) as exc:
-            containing_side(s1, scale, ell)
-        assert str(exc.value) == message
+    @given(tail_blocksets(k_max=6), st.integers(0, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_side_holds_the_quotient(self, s, scale, data):
+        # the rule scan_ratio and the benchmark's reference read: "set" iff m is in S
+        a, k = s.tail.a, s.tail.k
+        g = select_g(s).g
+        j = data.draw(st.integers(0, a - 1)) + scale * a
+        m = data.draw(st.integers(int(s.boundary(j)), int(s.boundary(j + 1)) - 1))
+        n = (k**g + 1) * m + data.draw(st.integers(0, k**g))
+        rep = enumerate_witnesses(s, n, g)
+        assert rep.decomposition.m == m
+        assert (rep.side == "set") == s.contains(m)
 
 
 class TestClassifyCase:
@@ -276,7 +287,7 @@ class TestDocstringFamily:
         s, n, g = target
         d = decompose(s, n, g)
         assert d.s in (5, 6)
-        side_set = s if containing_side(s, d.s, d.ell) == "set" else s.complement()
+        side_set = s if s.contains(d.m) else s.complement()
         expected = list(islice(docstring_pairs(s, n, g), self.CAP))
         for a1, a2 in expected:
             assert a1 + s.tail.k * a2 == n
