@@ -27,6 +27,7 @@ interval arithmetic guarantees every candidate lands inside its target block
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -165,7 +166,8 @@ def enumerate_witnesses(s: BlockSet, n: int, g: int) -> WitnessReport:
     """Build, validate, and summarize the full witness family for n."""
     tail = s.anchored_tail()
     sel = select_g(s)
-    if tail.k**g <= sel.T:
+    # k^g >= 2^g > T once g reaches T's bit length: then k^g is never built
+    if g < sel.T.bit_length() and tail.k**g <= sel.T:
         warnings.warn(
             f"k^g = {tail.k ** g} does not exceed the threshold T = {sel.T}; "
             "the family may be invalid or empty",
@@ -190,7 +192,12 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
 def _validated_pairs(s, d, case, side, q_lo, q_hi):
     """Pairs (m + sign*k*q + r, k^(g-1)*m - sign*q), sign -1 in case II, else +1:
     a1 + k*a2 = m + r + k^g*m = n at every q by construction, covered by tests and
-    not checked at run time; membership is checked per pair."""
+    not checked at run time; membership is checked per pair.
+
+    Each component keeps the block [lo, hi) of the containing side that held its
+    previous value, and a pair passes when lo <= a < hi for both.  A component
+    that leaves its block is looked up once in the side's blocks, bisecting their
+    starts; one that lands in no block fails, a1 before a2."""
     if q_lo > q_hi:
         return
     k = s.tail.k
@@ -198,14 +205,26 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
     a1 = d.m + sign * k * q_lo + d.r
     a2 = k ** (d.g - 1) * d.m - sign * q_lo
     side_set = s if side == SIDE_SET else s.complement()
-    member = side_set.membership(max(a1, a2) + k * (q_hi - q_lo))
-    for q in range(q_lo, q_hi + 1):
-        if not (member(a1) and member(a2)):
-            v = a2 if member(a1) else a1
+    # every component is at most this limit; the blocks cover [0, limit]
+    blocks = side_set.materialize(max(a1, a2) + k * (q_hi - q_lo) + 1)
+    starts = [lo for lo, _ in blocks]
+
+    def block_of(v: int, q: int) -> tuple[int, int]:
+        i = bisect_right(starts, v) - 1
+        if i < 0 or v >= blocks[i][1]:
             raise WitnessValidationError(
                 f"q={q}: component {v} not in the containing side "
                 f"({side}); set structure broken or k^g below threshold"
             )
+        return blocks[i]
+
+    step = sign * k
+    lo1 = hi1 = lo2 = hi2 = 0
+    for q in range(q_lo, q_hi + 1):
+        if not lo1 <= a1 < hi1:
+            lo1, hi1 = block_of(a1, q)
+        if not lo2 <= a2 < hi2:
+            lo2, hi2 = block_of(a2, q)
         yield a1, a2
-        a1 += sign * k
+        a1 += step
         a2 -= sign

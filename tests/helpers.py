@@ -19,6 +19,7 @@ from repfn import (
     RatioScan,
     ScanPoint,
     TailRule,
+    WitnessValidationError,
     count_weighted,
     decompose,
     floor_constant,
@@ -90,6 +91,30 @@ def count_weighted_blockpairs(s: BlockSet, n: int, w: tuple[int, int]) -> int:
             # integers in [lo, hi] congruent to c mod m
             total += (hi - c) // m - (lo - 1 - c) // m
     return total
+
+
+def validated_pairs_by_membership(s, d, case, side, q_lo, q_hi):
+    """The witness stream of a plan (decomposition, case, side, q_lo, q_hi),
+    each component checked by its own membership bisect: the differential
+    reference for the library's block walk."""
+    if q_lo > q_hi:
+        return
+    k = s.tail.k
+    sign = -1 if case == "II" else 1
+    a1 = d.m + sign * k * q_lo + d.r
+    a2 = k ** (d.g - 1) * d.m - sign * q_lo
+    side_set = s if side == "set" else s.complement()
+    member = side_set.membership(max(a1, a2) + k * (q_hi - q_lo))
+    for q in range(q_lo, q_hi + 1):
+        if not (member(a1) and member(a2)):
+            v = a2 if member(a1) else a1
+            raise WitnessValidationError(
+                f"q={q}: component {v} not in the containing side "
+                f"({side}); set structure broken or k^g below threshold"
+            )
+        yield a1, a2
+        a1 += sign * k
+        a2 -= sign
 
 
 def verify_equality_two_counts(

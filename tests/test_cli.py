@@ -602,6 +602,7 @@ def argvs(draw) -> list[str]:
 ])
 @example(["eval", "--set", "a" * 5000, "--n", "5", "--k", "2"])
 @example(["decompose", "--set", S1_DOC, "--n", "100", "--g", "100000001"])
+@example(["witnesses", "--set", S1_DOC, "--n", "100", "--g", "100000001"])
 @example(["eval", "--set", '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}', "--n", "100", "--k", "2"])
 @example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
 @example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])

@@ -1,4 +1,5 @@
-"""README's command-line examples run as written and print what their comments say."""
+"""README's Python tour and command-line examples run as written and give what
+their comments say."""
 
 from __future__ import annotations
 
@@ -51,3 +52,29 @@ def test_command_block_runs(tmp_path, monkeypatch):
             assert out.getvalue().splitlines()[0] == expected, line
             checked.add(argv[0])
     assert checked == set(FIRST_LINES)
+
+
+def tour_lines() -> list[str]:
+    """The lines of README's first ```python block."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+def test_python_tour_runs():
+    # each commented expression's repr starts its comment; statements just run
+    namespace: dict = {}
+    checked = 0
+    for line in tour_lines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        try:
+            expr = compile(code.strip(), "README.md", "eval")
+        except SyntaxError:  # a statement: an import or an assignment
+            exec(code, namespace)
+            continue
+        value = eval(expr, namespace)
+        if comment:
+            assert comment.strip().startswith(repr(value)), line
+            checked += 1
+    assert checked == 11

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import re
+import warnings
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import tail_blocksets
+from helpers import tail_blocksets, validated_pairs_by_membership
 from repfn import (
     BlockSet,
     Decomposition,
     TailRule,
+    WitnessReport,
     WitnessValidationError,
     classify_case,
     count_weighted,
@@ -25,6 +27,7 @@ from repfn import (
     select_g,
     witness_q_range,
 )
+from repfn.witness import CASES, _plan, _validated_pairs
 
 
 def block_index(s: BlockSet, x: int) -> int:
@@ -243,13 +246,16 @@ class TestPairValidity:
 
 
 @st.composite
-def lattice_targets(draw):
-    """(set, n, g) with g = select_g(set).g and n's quotient m at scale 5 or 6,
-    drawn from the left band, the middle or the right band of its cell."""
-    s = draw(tail_blocksets())
+def lattice_targets(draw, k_max: int = 5, scales=(5, 6), low_g: bool = False):
+    """(set, n, g) with g = select_g(set).g and n's quotient m at one of the
+    scales, drawn from the left band, the middle or the right band of its cell.
+    With low_g, g may also be 1 or 3, where many families fail their check."""
+    s = draw(tail_blocksets(k_max))
     a, k = s.tail.a, s.tail.k
     g = select_g(s).g
-    j = draw(st.integers(0, a - 1)) + draw(st.sampled_from((5, 6))) * a
+    if low_g:
+        g = draw(st.sampled_from((1, 3, g)))
+    j = draw(st.integers(0, a - 1)) + draw(st.sampled_from(scales)) * a
     lo, hi = int(s.boundary(j)), int(s.boundary(j + 1))
     band = k ** (j // a - 4)
     m = draw(
@@ -293,6 +299,71 @@ class TestDocstringFamily:
             assert a1 + s.tail.k * a2 == n
             assert a1 in side_set and a2 in side_set
         assert list(islice(iter_witness_pairs(s, n, g), self.CAP)) == expected
+
+
+def run_stream(pairs, cap):
+    """The first cap + 1 pairs of a stream, and the (type, message) of the
+    WitnessValidationError that ended it, or None."""
+    out = []
+    try:
+        for pair in pairs:
+            out.append(pair)
+            if len(out) > cap:
+                break
+    except WitnessValidationError as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+class TestBlockWalk:
+    """The block walk against the per-pair membership bisect it replaced."""
+
+    CAP = 20000  # a family that stops within CAP pairs is compared whole
+
+    @given(lattice_targets(k_max=6, scales=range(5, 10), low_g=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_membership_reference(self, target):
+        s, n, g = target
+        plan = _plan(s, n, g)
+        expected = run_stream(validated_pairs_by_membership(s, *plan), self.CAP)
+        assert run_stream(iter_witness_pairs(s, n, g), self.CAP) == expected
+        pairs, error = expected
+        if len(pairs) > self.CAP:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                got = enumerate_witnesses(s, n, g).to_doc()
+            except WitnessValidationError as exc:
+                got = (type(exc), str(exc))
+        if error is None:
+            assert got == WitnessReport(*plan, len(pairs), guaranteed_lower_bound(s, n, g)).to_doc()
+        else:
+            assert got == error
+
+    @given(tail_blocksets(k_max=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_plan_matches_membership_reference(self, s, data):
+        # plans that _plan never makes, with small m: components step across
+        # narrow gaps into other blocks, onto block ends and below 0
+        k = s.tail.k
+        g = data.draw(st.sampled_from((1, 3)))
+        m, r = data.draw(st.integers(0, 3000)), data.draw(st.integers(0, k**g))
+        d = Decomposition((k**g + 1) * m + r, m, r, 0, 0, g)
+        case = data.draw(st.sampled_from(CASES))
+        side = data.draw(st.sampled_from(("set", "complement")))
+        q_lo = data.draw(st.integers(0, 300))
+        plan = (d, case, side, q_lo, q_lo + data.draw(st.integers(-1, 300)))
+        expected = run_stream(validated_pairs_by_membership(s, *plan), self.CAP)
+        assert run_stream(_validated_pairs(s, *plan), self.CAP) == expected
+
+    def test_last_component_at_the_clipped_block(self, s1):
+        # g = 1, m = 288: the last a1 is the largest value the walk reads, and
+        # its block [256, 320) runs past it
+        pairs = list(iter_witness_pairs(s1, 864, 1))
+        assert pairs == [(288, 288), (290, 287)]
+        assert pairs == list(validated_pairs_by_membership(s1, *_plan(s1, 864, 1)))
+        assert s1.block_index(290) == s1.block_index(319) == s1.block_index(256)
 
 
 class TestEdgeGapCounterexample:
@@ -343,6 +414,21 @@ class TestScaleParameterGuards:
         with pytest.warns(UserWarning):
             with pytest.raises(WitnessValidationError, match=f"^{re.escape(message)}$"):
                 enumerate_witnesses(s, 3 * 102400, 1)
+
+    @given(tail_blocksets(k_max=6))
+    @settings(max_examples=50, deadline=None)
+    def test_warns_exactly_when_k_to_the_g_is_at_most_t(self, s):
+        # over g in 1..2*bit_length(T); n = 0 raises in decompose, after the check
+        k, T = s.tail.k, select_g(s).T
+        warned = set()
+        for g in range(1, 2 * T.bit_length() + 1):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError):
+                    enumerate_witnesses(s, 0, g)
+            if caught:
+                warned.add(g)
+        assert warned == {g for g in range(1, 2 * T.bit_length() + 1) if k**g <= T}
 
     def test_even_g_rejected(self, s1):
         with pytest.raises(ValueError):
