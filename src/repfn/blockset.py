@@ -226,9 +226,7 @@ class BlockSet:
 
     def to_doc(self) -> dict:
         """Plain-JSON form: {"boundaries": [...], "leading_gap": ..., "tail": ...}."""
-        tail = None
-        if self.tail is not None:
-            tail = {"a": self.tail.a, "k": self.tail.k, "i0": self.tail.i0}
+        tail = None if self.tail is None else dataclasses.asdict(self.tail)
         return {
             "boundaries": list(self.boundaries),
             "leading_gap": self.leading_gap,
@@ -296,8 +294,4 @@ def normalize(intervals: Iterable[Sequence[int]]) -> BlockSet:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    bounds: list[int] = []
-    for lo, hi in merged:
-        bounds.append(lo)
-        bounds.append(hi)
-    return BlockSet(tuple(bounds), None, True)
+    return BlockSet(tuple(t for block in merged for t in block), None, True)

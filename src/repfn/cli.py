@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from .blockset import BlockSet
 from .experiments import scan_ratio, scan_to_csv, verify_equality
-from .render import fraction_decimal, fraction_str
+from .render import check_digits, fraction_decimal, fraction_str
 from .repcount import CLASSIC_VARIANTS, count_classic, count_weighted, count_weighted_oracle
 from .structure import decompose, detect_tail, generate_from_seed, multiplicative_profile, select_g
 from .witness import WitnessValidationError, enumerate_witnesses
@@ -149,6 +149,7 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_select_g(args, parser) -> int:
     sel = select_g(_load_set(args.set))
+    check_digits(sel.T, "threshold T")
     return _emit(args, {"T": str(sel.T), "g": sel.g}, human=f"T={sel.T} g={sel.g}\n")
 
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import IO
 
 from .blockset import BlockSet
-from .render import fraction_decimal, fraction_str
+from .render import check_digits, fraction_decimal, fraction_str
 from .repcount import count_weighted
 from .structure import decompose, generate_from_seed
 from .witness import floor_constant
@@ -47,9 +47,7 @@ class EqualityReport:
             "n_lo": str(self.n_lo),
             "n_hi": str(self.n_hi),
             "equal_count": str(self.equal_count),
-            "first_violation": None
-            if self.first_violation is None
-            else str(self.first_violation),
+            "first_violation": None if self.first_violation is None else str(self.first_violation),
         }
         if self.per_n is not None:
             doc["per_n"] = [
@@ -97,14 +95,7 @@ def verify_equality(
         if record_per_n:
             ra = count_weighted(s, n, (1, k))
             rows.append((n, ra, ra - diff))
-    return EqualityReport(
-        k=k,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        equal_count=equal,
-        first_violation=first,
-        per_n=tuple(rows) if record_per_n else None,
-    )
+    return EqualityReport(k, n_lo, n_hi, equal, first, tuple(rows) if record_per_n else None)
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,8 @@ def scan_ratio(
         raise ValueError(f"scan window must start at n >= 1, got {n_lo}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    floor_c = floor_constant(s, g)  # checks the tail and g, also for an empty window
+    # checks the tail, g and C's digits, also for an empty window
+    floor_c = check_digits(floor_constant(s, g), "floor constant C")
     points = []
     if n_lo <= n_hi:
         decompose(s, n_lo, g)  # n_lo's quotient is on the lattice, so every later one is
@@ -168,13 +160,8 @@ def scan_ratio(
             points.append(ScanPoint(n=n, r_set=ra, r_comp=rc, ratio=Fraction(r_side, n)))
     window_lo = -(-(n_lo + n_hi) // 2)
     tail_ratios = [p.ratio for p in points if p.n >= window_lo]
-    return RatioScan(
-        points=tuple(points),
-        window_lo=window_lo,
-        min_ratio=min(tail_ratios) if tail_ratios else None,
-        theoretical_floor=Fraction(1, floor_c),
-        trivial_ceiling=Fraction(1, k),
-    )
+    min_ratio = min(tail_ratios) if tail_ratios else None
+    return RatioScan(tuple(points), window_lo, min_ratio, Fraction(1, floor_c), Fraction(1, k))
 
 
 def scan_to_csv(scan: RatioScan, stream: IO[str]) -> None:
@@ -206,10 +193,8 @@ def search_seeds(
         raise ValueError(f"width_max must be nonnegative, got {width_max}")
     results = []
     for t0 in range(1, t0_max + 1):
-        for rest in combinations(range(t0 + 1, t0 + width_max + 1), a - 1):
+        for rest in combinations(range(t0 + 1, min(t0 + width_max, k * t0 - 1) + 1), a - 1):
             seed = (t0, *rest)
-            if k * seed[0] <= seed[-1]:
-                continue
             bset = generate_from_seed(seed, a, k, horizon)
             lo = int(bset.boundary(a + 2))
             results.append((seed, verify_equality(bset, k, lo, horizon)))

@@ -7,7 +7,19 @@ truncated decimal computed with integer arithmetic (no float range issues).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+
+def check_digits(x: int, what: str) -> int:
+    """x, or a ValueError naming what when str(x) is past Python's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    # below 3*limit bits x < 8^limit: 10^limit is built only for a longer x
+    if limit and x.bit_length() > 3 * limit and x >= 10**limit:
+        raise ValueError(
+            f"{what} has more than {limit} digits; integers are limited to {limit} digits"
+        )
+    return x
 
 
 def fraction_str(fr: Fraction) -> str:

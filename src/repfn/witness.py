@@ -19,13 +19,15 @@ a1 + k*a2 = n, both components on the containing side:
 
 with q running over a case-specific integer interval.  The margins are exact
 rationals, so classification and interval endpoints are computed exactly for
-every s >= 0; the enumerator only *emits* pairs when s >= 5, where the
-interval arithmetic guarantees every candidate lands inside its target block
-(small n carry no guarantee and produce an empty family).
+every s >= 0; the enumerator only *emits* pairs when s >= 5 (small n carry no
+guarantee and produce an empty family).  There the q-interval and m's zone put
+a1 in m's block j (I), j-2 (II) or j+2 (III) for every g, so on j's side by
+parity (the bounds are in _validated_pairs); a2 is checked pair by pair.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .blockset import BlockSet
-from .render import fraction_decimal, fraction_str
+from .render import check_digits, fraction_decimal, fraction_str
 from .structure import Decomposition, decompose, select_g
 
 CASES = ("I", "II", "III")
@@ -43,7 +45,7 @@ SIDE_COMPLEMENT = "complement"
 
 
 class WitnessValidationError(RuntimeError):
-    """A constructed pair failed its membership check.
+    """A constructed pair's a2 failed its membership check (a1 cannot fail).
 
     This cannot happen for a valid anchored tail set when k^g exceeds the
     selection threshold; seeing it means the set structure is broken or the
@@ -99,11 +101,16 @@ def witness_q_range(s: BlockSet, d: Decomposition, case: str) -> tuple[int, int]
 def floor_constant(s: BlockSet, g: int) -> int:
     """C = k^5 * t_a * (k^g + 2), with k and t_a = k*t_0 from the set's tail.
 
-    The witness family certifies a count of at least n/C - (k^g + 1).
+    The witness family certifies a count of at least n/C - (k^g + 1).  A g with
+    g*(bit_length(k) - 1) > 4L, L the int-string digit limit, raises ValueError.
     """
     tail = s.anchored_tail()
     if g < 1 or g % 2 == 0:
         raise ValueError(f"exponent g must be odd and positive, got {g}")
+    limit = sys.get_int_max_str_digits()
+    # k^g >= 2^(g*(bit_length(k) - 1)) > 16^L > 10^L here: it is never built
+    if limit and g * (tail.k.bit_length() - 1) > 4 * limit:
+        raise ValueError(f"exponent g = {g} gives k^g more than {limit} digits")
     return tail.k**5 * int(s.boundary(tail.a)) * (tail.k**g + 2)
 
 
@@ -112,18 +119,17 @@ def guaranteed_lower_bound(s: BlockSet, n: int, g: int) -> Fraction:
     k = s.anchored_tail().k
     if n < 0:
         raise ValueError(f"target n must be nonnegative, got {n}")
-    bound = Fraction(n, floor_constant(s, g)) - (k**g + 1)
-    return max(Fraction(0), bound)
+    return max(Fraction(0), Fraction(n, floor_constant(s, g)) - (k**g + 1))
 
 
 @dataclass(frozen=True)
 class WitnessReport:
     """Outcome of one witness enumeration.
 
-    pairs_checked equals the size of the emitted q-interval; both components
-    of every pair were checked for membership of the containing side before
-    being counted.  a1 + k*a2 = n holds by construction and is covered by
-    tests, not checked at run time.
+    pairs_checked equals the size of the emitted q-interval.  Both components
+    of every pair counted are on the containing side: a1 by the lattice proof
+    in _validated_pairs, a2 by a membership check per pair.  a1 + k*a2 = n
+    holds by construction and is covered by tests, not checked at run time.
     """
 
     decomposition: Decomposition
@@ -156,8 +162,8 @@ def iter_witness_pairs(s: BlockSet, n: int, g: int):
     """Yield every validated pair (a1, a2) of the witness family for n.
 
     Pairs satisfy a1 + k*a2 = n with both components members of the
-    containing side.  Raises WitnessValidationError if any candidate fails;
-    see that class for when this is possible at all.
+    containing side.  Raises WitnessValidationError if an a2 fails; see that
+    class for when this is possible at all.
     """
     yield from _validated_pairs(s, *_plan(s, n, g))
 
@@ -169,8 +175,8 @@ def enumerate_witnesses(s: BlockSet, n: int, g: int) -> WitnessReport:
     # k^g >= 2^g > T once g reaches T's bit length: then k^g is never built
     if g < sel.T.bit_length() and tail.k**g <= sel.T:
         warnings.warn(
-            f"k^g = {tail.k ** g} does not exceed the threshold T = {sel.T}; "
-            "the family may be invalid or empty",
+            f"k^g = {tail.k ** g} does not exceed the threshold "
+            f"T = {check_digits(sel.T, 'threshold T')}; the family may be invalid or empty",
             stacklevel=2,
         )
     plan = _plan(s, n, g)
@@ -183,8 +189,7 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
     d = decompose(s, n, g)
     case = classify_case(s, d)
     side = SIDE_SET if s.block_in_set(d.ell + d.s * s.tail.a) else SIDE_COMPLEMENT
-    # Below scale 5 the interval inequalities no longer pin candidates inside
-    # real blocks; the family is defined to be empty there.
+    # below scale 5 the family is defined to be empty (see the module docstring)
     q_lo, q_hi = witness_q_range(s, d, case) if d.s >= 5 else (0, -1)
     return d, case, side, q_lo, q_hi
 
@@ -192,12 +197,18 @@ def _plan(s: BlockSet, n: int, g: int) -> tuple[Decomposition, str, str, int, in
 def _validated_pairs(s, d, case, side, q_lo, q_hi):
     """Pairs (m + sign*k*q + r, k^(g-1)*m - sign*q), sign -1 in case II, else +1:
     a1 + k*a2 = m + r + k^g*m = n at every q by construction, covered by tests and
-    not checked at run time; membership is checked per pair.
+    not checked at run time.
 
-    Each component keeps the block [lo, hi) of the containing side that held its
-    previous value, and a pair passes when lo <= a < hi for both.  A component
-    that leaves its block is looked up once in the side's blocks, bisecting their
-    starts; one that lands in no block fails, a1 before a2."""
+    a1 needs no check.  With j = ell + s*a m's block, s >= 5 and T_i = k^s*t_(ell+i),
+    witness_q_range and m's zone bound a1 for every g:
+      I:    0 <= q <= k^(s-5) - r - 1 and T_0 + k^(s-4) <= m < T_1 - k^(s-4)
+            give m + r <= a1 < m + k^(s-4), inside block j = [T_0, T_1);
+      II:   T_(-2) + r <= a1 < T_(-1) - (k-1)*r, inside block j - 2;
+      III:  T_2 + r <= a1 <= T_3 - 1 - (k-1)*r, inside block j + 2.
+    These are real blocks (index >= 5a - 2 >= 3) of j's parity, so on its side.
+
+    a2 keeps the side's block [lo, hi) of its previous value and passes when it is
+    still inside; otherwise the side's blocks are bisected once, and none fails it."""
     if q_lo > q_hi:
         return
     k = s.tail.k
@@ -205,26 +216,19 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
     a1 = d.m + sign * k * q_lo + d.r
     a2 = k ** (d.g - 1) * d.m - sign * q_lo
     side_set = s if side == SIDE_SET else s.complement()
-    # every component is at most this limit; the blocks cover [0, limit]
-    blocks = side_set.materialize(max(a1, a2) + k * (q_hi - q_lo) + 1)
+    # a2 is monotone in q: the blocks cover [0, its largest value], none if it is < 0
+    blocks = side_set.materialize(max(a2, a2 - sign * (q_hi - q_lo), -1) + 1)
     starts = [lo for lo, _ in blocks]
-
-    def block_of(v: int, q: int) -> tuple[int, int]:
-        i = bisect_right(starts, v) - 1
-        if i < 0 or v >= blocks[i][1]:
-            raise WitnessValidationError(
-                f"q={q}: component {v} not in the containing side "
-                f"({side}); set structure broken or k^g below threshold"
-            )
-        return blocks[i]
-
-    step = sign * k
-    lo1 = hi1 = lo2 = hi2 = 0
+    lo = hi = 0
     for q in range(q_lo, q_hi + 1):
-        if not lo1 <= a1 < hi1:
-            lo1, hi1 = block_of(a1, q)
-        if not lo2 <= a2 < hi2:
-            lo2, hi2 = block_of(a2, q)
+        if not lo <= a2 < hi:
+            i = bisect_right(starts, a2) - 1
+            if i < 0 or a2 >= blocks[i][1]:
+                raise WitnessValidationError(
+                    f"q={q}: component {a2} not in the containing side "
+                    f"({side}); set structure broken or k^g below threshold"
+                )
+            lo, hi = blocks[i]
         yield a1, a2
-        a1 += step
+        a1 += sign * k
         a2 -= sign

@@ -93,10 +93,11 @@ def count_weighted_blockpairs(s: BlockSet, n: int, w: tuple[int, int]) -> int:
     return total
 
 
-def validated_pairs_by_membership(s, d, case, side, q_lo, q_hi):
+def validated_pairs_by_membership(s, d, case, side, q_lo, q_hi, check_a1=True):
     """The witness stream of a plan (decomposition, case, side, q_lo, q_hi),
     each component checked by its own membership bisect: the differential
-    reference for the library's block walk."""
+    reference for the library's block walk.  With check_a1 false only a2 is
+    checked, as the library does."""
     if q_lo > q_hi:
         return
     k = s.tail.k
@@ -106,12 +107,12 @@ def validated_pairs_by_membership(s, d, case, side, q_lo, q_hi):
     side_set = s if side == "set" else s.complement()
     member = side_set.membership(max(a1, a2) + k * (q_hi - q_lo))
     for q in range(q_lo, q_hi + 1):
-        if not (member(a1) and member(a2)):
-            v = a2 if member(a1) else a1
-            raise WitnessValidationError(
-                f"q={q}: component {v} not in the containing side "
-                f"({side}); set structure broken or k^g below threshold"
-            )
+        for v in (a1, a2) if check_a1 else (a2,):
+            if not member(v):
+                raise WitnessValidationError(
+                    f"q={q}: component {v} not in the containing side "
+                    f"({side}); set structure broken or k^g below threshold"
+                )
         yield a1, a2
         a1 += sign * k
         a2 -= sign

@@ -405,6 +405,48 @@ class TestExitCodes:
         )
 
 
+# a set whose threshold T = 4*(t_3 - t_0) has about 17,200 digits
+HUGE_T_DOC = json.dumps({"boundaries": [10**4299], "tail": {"a": 1, "k": 10**4299}})
+EMPTY_SCAN = ["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "10", "--n-hi", "5", "--g"]
+
+
+class TestOutputDigitLimit:
+    """An output integer past the 4300-digit limit is one plain error line, and
+    an exponent that makes one is refused before k^g is built."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                [*EMPTY_SCAN, "14301"],
+                "floor constant C has more than 4300 digits; integers are limited to 4300 digits",
+            ),
+            ([*EMPTY_SCAN, "100000001"], "exponent g = 100000001 gives k^g more than 4300 digits"),
+            (
+                ["select-g", "--set", HUGE_T_DOC],
+                "threshold T has more than 4300 digits; integers are limited to 4300 digits",
+            ),
+            (
+                ["witnesses", "--set", HUGE_T_DOC, "--n", "5", "--g", "1"],
+                "threshold T has more than 4300 digits; integers are limited to 4300 digits",
+            ),
+        ],
+        ids=["scan-floor", "scan-exponent", "select-g", "witnesses-warning"],
+    )
+    def test_past_the_limit_is_one(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_floor_of_4300_digits_prints(self, capsys):
+        # C = 2^8 * (2^g + 2) has 4300 digits at g = 14275 and 4301 at g = 14277
+        code, out, _ = run(capsys, *EMPTY_SCAN, "14275", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["theoretical_floor"] == f"1/{2**8 * (2**14275 + 2)}"
+        assert run(capsys, *EMPTY_SCAN, "14277")[0] == 1
+
+
 class TestWorkCaps:
     # one past each cap; without the caps each of these runs for seconds
     @pytest.mark.parametrize(
@@ -596,6 +638,17 @@ def argvs(draw) -> list[str]:
     return [cmd, *argv]
 
 
+def invoke(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, a usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(argvs())
 @example([
     "eval", "--set", str(Path(__file__).parent), "--n", "1", "--k", "2",
@@ -606,13 +659,23 @@ def argvs(draw) -> list[str]:
 @example(["eval", "--set", '{"boundaries": [4, 5, 7], "tial": {"a": 3, "k": 2}}', "--n", "100", "--k", "2"])
 @example(["scan", "--set", S1_DOC, "--k", "0", "--n-lo", "12", "--n-hi", "11", "--g", "7"])
 @example(["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "12", "--n-hi", "11", "--g", "-1"])
+@example([*EMPTY_SCAN, "14301"])
+@example([*EMPTY_SCAN, "100000001"])
+@example(["select-g", "--set", HUGE_T_DOC])
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_invocations_exit_0_1_or_2(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, _, err = invoke(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@given(argvs())
+@example([*EMPTY_SCAN, "14301"])
+@example([*EMPTY_SCAN, "100000001"])
+@example(["select-g", "--set", HUGE_T_DOC])
+@example(["witnesses", "--set", HUGE_T_DOC, "--n", "5", "--g", "1"])
+@settings(max_examples=100, deadline=None)
+def test_no_stderr_names_the_int_limit_setter(argv):
+    # Python's own digit-limit error names sys.set_int_max_str_digits(), which a
+    # command-line user cannot call
+    assert "set_int_max_str_digits" not in invoke(argv)[2]

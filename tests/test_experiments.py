@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +307,18 @@ class TestSearchSeeds:
         for (t0,), rep in results:
             assert (rep.n_lo, rep.n_hi, rep.equal_count) == (8 * t0, 1, 0)
             assert rep.first_violation is None
+
+    @pytest.mark.parametrize("k, a", [(2, 1), (2, 3), (3, 5), (4, 3), (6, 7)])
+    def test_every_admissible_seed_once(self, k, a):
+        # the candidates stop at k*t_0 - 1, so none needs the filter k*t_0 > t_(a-1);
+        # horizon 1 leaves every window empty, so the ranking is by seed alone
+        expected = [
+            (t0, *rest)
+            for t0 in range(1, 7)
+            for rest in combinations(range(t0 + 1, t0 + 10), a - 1)
+            if k * t0 > (t0, *rest)[-1]
+        ]
+        assert [seed for seed, _ in search_seeds(k, a, 6, 9, 1)] == sorted(expected)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

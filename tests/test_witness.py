@@ -345,7 +345,9 @@ class TestBlockWalk:
     @settings(max_examples=300, deadline=None)
     def test_any_plan_matches_membership_reference(self, s, data):
         # plans that _plan never makes, with small m: components step across
-        # narrow gaps into other blocks, onto block ends and below 0
+        # narrow gaps into other blocks, onto block ends and below 0.  a1 may
+        # leave the side here, and only _plan's plans keep it there, so the
+        # library's a2 check is compared with the reference's a2 check alone
         k = s.tail.k
         g = data.draw(st.sampled_from((1, 3)))
         m, r = data.draw(st.integers(0, 3000)), data.draw(st.integers(0, k**g))
@@ -354,7 +356,7 @@ class TestBlockWalk:
         side = data.draw(st.sampled_from(("set", "complement")))
         q_lo = data.draw(st.integers(0, 300))
         plan = (d, case, side, q_lo, q_lo + data.draw(st.integers(-1, 300)))
-        expected = run_stream(validated_pairs_by_membership(s, *plan), self.CAP)
+        expected = run_stream(validated_pairs_by_membership(s, *plan, check_a1=False), self.CAP)
         assert run_stream(_validated_pairs(s, *plan), self.CAP) == expected
 
     def test_last_component_at_the_clipped_block(self, s1):
@@ -364,6 +366,27 @@ class TestBlockWalk:
         assert pairs == [(288, 288), (290, 287)]
         assert pairs == list(validated_pairs_by_membership(s1, *_plan(s1, 864, 1)))
         assert s1.block_index(290) == s1.block_index(319) == s1.block_index(256)
+
+
+class TestFirstComponentLattice:
+    """a1 needs no membership check: the q-interval puts it in block j + delta of
+    m's block j, delta -2, 0, +2 in cases II, I, III, a block on m's side."""
+
+    DELTA = {"II": -2, "I": 0, "III": 2}
+
+    @given(lattice_targets(k_max=6, scales=range(5, 10), low_g=True))
+    @settings(max_examples=300, deadline=None)
+    def test_a1_stays_in_its_block(self, target):
+        s, n, g = target
+        d, case, _, q_lo, q_hi = _plan(s, n, g)
+        if q_lo > q_hi:
+            return
+        j = d.ell + d.s * s.tail.a + self.DELTA[case]
+        sign = -1 if case == "II" else 1
+        # a1 is monotone in q, so its first and last values bound the family
+        for q in (q_lo, q_hi):
+            assert s.block_index(d.m + sign * s.tail.k * q + d.r) == j
+        assert s.block_in_set(j) == s.contains(d.m)
 
 
 class TestEdgeGapCounterexample:
