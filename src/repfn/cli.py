@@ -45,6 +45,8 @@ def _load_set(source: str) -> BlockSet:
         doc = json.loads(text, parse_int=lambda p: _parse_int(p, "set document"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"set document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("set document is nested too deeply") from None
     return BlockSet.from_doc(doc)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO
 
-from .blockset import BlockSet
+from .blockset import BlockSet, TailRule
 from .render import check_digits, fraction_decimal, fraction_str
 from .repcount import count_weighted
 from .structure import decompose, generate_from_seed
@@ -187,6 +187,7 @@ def search_seeds(
     Ranking: clean seeds first, then larger first violation; ties break
     deterministically by seed.
     """
+    TailRule(a, k)  # checks k and a with the tail rule's messages
     if t0_max < 1:
         raise ValueError(f"t0_max must be at least 1, got {t0_max}")
     if width_max < 0:

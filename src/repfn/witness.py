@@ -22,7 +22,8 @@ rationals, so classification and interval endpoints are computed exactly for
 every s >= 0; the enumerator only *emits* pairs when s >= 5 (small n carry no
 guarantee and produce an empty family).  There the q-interval and m's zone put
 a1 in m's block j (I), j-2 (II) or j+2 (III) for every g, so on j's side by
-parity (the bounds are in _validated_pairs); a2 is checked pair by pair.
+parity; a2 moves by unit steps and leaves the side only by leaving its block,
+so it is checked once per family (both proofs are in _validated_pairs).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ SIDE_COMPLEMENT = "complement"
 
 
 class WitnessValidationError(RuntimeError):
-    """A constructed pair's a2 failed its membership check (a1 cannot fail).
+    """An a2 left the side's block holding the family's first a2 (a1 cannot leave).
 
     This cannot happen for a valid anchored tail set when k^g exceeds the
     selection threshold; seeing it means the set structure is broken or the
@@ -128,7 +129,7 @@ class WitnessReport:
 
     pairs_checked equals the size of the emitted q-interval.  Both components
     of every pair counted are on the containing side: a1 by the lattice proof
-    in _validated_pairs, a2 by a membership check per pair.  a1 + k*a2 = n
+    in _validated_pairs, a2 by its block check, once per family.  a1 + k*a2 = n
     holds by construction and is covered by tests, not checked at run time.
     """
 
@@ -162,8 +163,8 @@ def iter_witness_pairs(s: BlockSet, n: int, g: int):
     """Yield every validated pair (a1, a2) of the witness family for n.
 
     Pairs satisfy a1 + k*a2 = n with both components members of the
-    containing side.  Raises WitnessValidationError if an a2 fails; see that
-    class for when this is possible at all.
+    containing side.  After the last pair before an a2 off the side, raises
+    WitnessValidationError naming its q; see that class for when this can happen.
     """
     yield from _validated_pairs(s, *_plan(s, n, g))
 
@@ -207,8 +208,8 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
       III:  T_2 + r <= a1 <= T_3 - 1 - (k-1)*r, inside block j + 2.
     These are real blocks (index >= 5a - 2 >= 3) of j's parity, so on its side.
 
-    a2 keeps the side's block [lo, hi) of its previous value and passes when it is
-    still inside; otherwise the side's blocks are bisected once, and none fails it."""
+    a2 moves by one per q and one side's blocks are parted by gaps of the other, so a2
+    is on the side exactly while it is in the side's block [lo, hi) of its first value."""
     if q_lo > q_hi:
         return
     k = s.tail.k
@@ -218,17 +219,19 @@ def _validated_pairs(s, d, case, side, q_lo, q_hi):
     side_set = s if side == SIDE_SET else s.complement()
     # a2 is monotone in q: the blocks cover [0, its largest value], none if it is < 0
     blocks = side_set.materialize(max(a2, a2 - sign * (q_hi - q_lo), -1) + 1)
-    starts = [lo for lo, _ in blocks]
-    lo = hi = 0
-    for q in range(q_lo, q_hi + 1):
-        if not lo <= a2 < hi:
-            i = bisect_right(starts, a2) - 1
-            if i < 0 or a2 >= blocks[i][1]:
-                raise WitnessValidationError(
-                    f"q={q}: component {a2} not in the containing side "
-                    f"({side}); set structure broken or k^g below threshold"
-                )
-            lo, hi = blocks[i]
+    i = bisect_right(blocks, a2, key=lambda b: b[0]) - 1
+    if i < 0 or a2 >= blocks[i][1]:  # below 0, before the first block or in a gap
+        stop = q_lo
+    elif sign < 0:  # rising: the last pair has a2 = hi - 1
+        stop = q_lo + blocks[i][1] - a2
+    else:  # falling: the last pair has a2 = lo
+        stop = q_lo + a2 - blocks[i][0] + 1
+    for _ in range(q_lo, min(stop, q_hi + 1)):
         yield a1, a2
         a1 += sign * k
         a2 -= sign
+    if stop <= q_hi:
+        raise WitnessValidationError(
+            f"q={stop}: component {a2} not in the containing side "
+            f"({side}); set structure broken or k^g below threshold"
+        )

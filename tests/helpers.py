@@ -96,8 +96,8 @@ def count_weighted_blockpairs(s: BlockSet, n: int, w: tuple[int, int]) -> int:
 def validated_pairs_by_membership(s, d, case, side, q_lo, q_hi, check_a1=True):
     """The witness stream of a plan (decomposition, case, side, q_lo, q_hi),
     each component checked by its own membership bisect: the differential
-    reference for the library's block walk.  With check_a1 false only a2 is
-    checked, as the library does."""
+    reference for the library's once-per-family a2 check.  With check_a1 false
+    only a2 is checked, as the library does."""
     if q_lo > q_hi:
         return
     k = s.tail.k

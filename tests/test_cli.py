@@ -342,6 +342,13 @@ class TestExitCodes:
             shown = path if len(path) <= 200 else path[:200] + "..."
             assert (code, out, err) == (1, "", f"error: set file not found: {shown}\n")
 
+    def test_deeply_nested_set_document_is_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOC)
+        for source in (DEEP_DOC, str(path)):
+            code, out, err = run(capsys, "eval", "--set", source, "--n", "5", "--k", "2")
+            assert (code, out, err) == (1, "", "error: set document is nested too deeply\n")
+
     def test_empty_integer_list_is_one(self, capsys):
         code, out, err = run(capsys, "detect", "--boundaries", ",", "--k", "2")
         assert (code, out, err) == (1, "", "error: empty integer list\n")
@@ -407,6 +414,8 @@ class TestExitCodes:
 
 # a set whose threshold T = 4*(t_3 - t_0) has about 17,200 digits
 HUGE_T_DOC = json.dumps({"boundaries": [10**4299], "tail": {"a": 1, "k": 10**4299}})
+# nested past json.loads' recursion limit on Python 3.10 to 3.13
+DEEP_DOC = '{"boundaries": ' + "[" * 10**5 + "]" * 10**5 + "}"
 EMPTY_SCAN = ["scan", "--set", S1_DOC, "--k", "2", "--n-lo", "10", "--n-hi", "5", "--g"]
 
 
@@ -662,6 +671,7 @@ def invoke(argv: list[str]) -> tuple[int, str, str]:
 @example([*EMPTY_SCAN, "14301"])
 @example([*EMPTY_SCAN, "100000001"])
 @example(["select-g", "--set", HUGE_T_DOC])
+@example(["eval", "--set", DEEP_DOC, "--n", "5", "--k", "2"])
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_invocations_exit_0_1_or_2(argv):
     code, _, err = invoke(argv)

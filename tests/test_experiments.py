@@ -325,3 +325,18 @@ class TestSearchSeeds:
             search_seeds(2, 1, 0, 0, 64)
         with pytest.raises(ValueError):
             search_seeds(2, 1, 4, -1, 64)
+
+    @pytest.mark.parametrize(
+        "k, a, message",
+        [
+            (1, 3, "tail ratio k must be at least 2, got 1"),
+            (2, 0, "tail period a must be odd and positive, got 0"),
+            (2, -3, "tail period a must be odd and positive, got -3"),
+            (3, 2, "tail period a must be odd and positive, got 2"),
+        ],
+    )
+    def test_rejects_a_ratio_or_period_no_seed_can_have(self, k, a, message):
+        # checked before any seed is tried: no seed exists for k = 1 or a <= 0
+        with pytest.raises(ValueError) as exc:
+            search_seeds(k, a, 5, 5, 100)
+        assert str(exc.value) == message

@@ -316,7 +316,8 @@ def run_stream(pairs, cap):
 
 
 class TestBlockWalk:
-    """The block walk against the per-pair membership bisect it replaced."""
+    """The closed-form stop, one bisect per family, against the per-pair
+    membership bisect it replaced."""
 
     CAP = 20000  # a family that stops within CAP pairs is compared whole
 
@@ -360,12 +361,43 @@ class TestBlockWalk:
         assert run_stream(_validated_pairs(s, *plan), self.CAP) == expected
 
     def test_last_component_at_the_clipped_block(self, s1):
-        # g = 1, m = 288: the last a1 is the largest value the walk reads, and
-        # its block [256, 320) runs past it
+        # g = 1, m = 288: a2 falls from 288, the largest value read, so the side's
+        # block [256, 320) holding it is clipped to [256, 289); a1 stays in it too
         pairs = list(iter_witness_pairs(s1, 864, 1))
         assert pairs == [(288, 288), (290, 287)]
         assert pairs == list(validated_pairs_by_membership(s1, *_plan(s1, 864, 1)))
         assert s1.block_index(290) == s1.block_index(319) == s1.block_index(256)
+
+
+class TestStopRule:
+    """The first q off the side, pinned on S1 with g = 1: a2 = m - sign*q passes
+    exactly while it stays in the side's block of its first value and fails at
+    the next q.  S1 has [10, 14) and [16, 20), its complement [0, 4) and [20, 28)."""
+
+    @pytest.mark.parametrize(
+        "case, side, m, q_lo, q_last, a2_next",
+        [
+            ("II", "set", 8, 2, 5, 14),  # a2 rises 10..13 through [10, 14)
+            ("I", "complement", 27, 1, 7, 19),  # a2 falls 26..20 through [20, 28)
+            ("III", "complement", 5, 2, 5, -1),  # a2 falls 3..0 through [0, 4)
+            ("II", "set", 14, 0, -1, 14),  # a2 starts in the gap [14, 16)
+            ("I", "set", 20, 0, -1, 20),  # a2 starts on the end of [16, 20)
+        ],
+    )
+    def test_run_ends_on_its_block_end(self, s1, case, side, m, q_lo, q_last, a2_next):
+        d = Decomposition(3 * m, m, 0, 0, 0, 1)
+        sign = -1 if case == "II" else 1
+        whole = [(m + sign * 2 * q, m - sign * q) for q in range(q_lo, q_last + 1)]
+        assert list(_validated_pairs(s1, d, case, side, q_lo, q_last)) == whole
+        pairs = []
+        with pytest.raises(WitnessValidationError) as exc:
+            for pair in _validated_pairs(s1, d, case, side, q_lo, q_last + 1):
+                pairs.append(pair)
+        assert pairs == whole
+        assert str(exc.value) == (
+            f"q={q_last + 1}: component {a2_next} not in the containing side "
+            f"({side}); set structure broken or k^g below threshold"
+        )
 
 
 class TestFirstComponentLattice:
@@ -427,8 +459,8 @@ class TestScaleParameterGuards:
         assert rep.pairs_checked == 32
 
     def test_small_g_can_break_validation(self):
-        # with g = 1 and a wide-gap seed, a2 = m + q walks off its block and
-        # the per-pair check trips
+        # with g = 1 and a wide-gap seed, a2 = m + q steps off its block and
+        # the family stops there
         s = BlockSet((100, 101, 199), TailRule(3, 2, 0))
         message = (
             "q=1024: component 103424 not in the containing side (set); "
